@@ -13,6 +13,15 @@ from .traffic import TrafficParams
 
 DEFAULT_NODE_COUNTS = (15, 16, 32, 64, 128, 256, 512, 1024)
 
+# Accepted value types per field annotation; bool is rejected wherever an
+# int is accepted, although Python counts it as one.
+_ACCEPTED_TYPES = {
+    "int": (int,),
+    "int | None": (int, type(None)),
+    "float": (int, float),
+    "str": (str,),
+}
+
 
 @dataclass
 class RunConfig:
@@ -57,7 +66,15 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
-        self.node_counts = tuple(int(v) for v in self.node_counts)
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            accepted = _ACCEPTED_TYPES.get(f.type)
+            if accepted and (isinstance(value, bool) or not isinstance(value, accepted)):
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+        if not isinstance(self.node_counts, (list, tuple)) or not all(
+                isinstance(v, int) and not isinstance(v, bool) for v in self.node_counts):
+            raise ValueError(f"node_counts must be a list of ints, got {self.node_counts!r}")
+        self.node_counts = tuple(self.node_counts)
         if self.selection_mode not in SELECTION_MODES:
             raise ValueError(f"selection_mode must be one of {SELECTION_MODES}")
         if self.seeds_per_n < 1:
@@ -99,6 +116,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
+        if not isinstance(doc, dict):
+            raise ValueError("config must be a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(doc) - known
         if unknown:

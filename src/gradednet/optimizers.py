@@ -8,7 +8,6 @@ candidate nodes in the destination's quadrant, plus the source.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Callable
@@ -121,18 +120,17 @@ def path_is_valid(path: PathNodes, subgraph: Subgraph, source: int, destination:
     return True
 
 
-def _walk(subgraph: Subgraph, start: int, destination: int,
-          forbidden: set[int], rng: random.Random) -> PathNodes | None:
+def _walk(adj: dict[int, tuple[int, ...]], start: int, destination: int,
+          visited: set[int], randrange: Callable[[int], int]) -> PathNodes | None:
     # One uniform random walk over unvisited allowed neighbors; None on dead end.
+    # ``visited`` already holds ``start`` and is extended in place.
     path = [start]
-    visited = set(forbidden)
-    visited.add(start)
     cur = start
     while cur != destination:
-        choices = [v for v in subgraph.neighbors(cur) if v not in visited]
+        choices = [v for v in adj.get(cur, ()) if v not in visited]
         if not choices:
             return None
-        cur = choices[rng.randrange(len(choices))]
+        cur = choices[randrange(len(choices))]
         path.append(cur)
         visited.add(cur)
     return tuple(path)
@@ -147,8 +145,9 @@ def random_path(subgraph: Subgraph, source: int, destination: int,
     """
     if source not in subgraph.allowed or destination not in subgraph.allowed:
         return None
+    adj, randrange = subgraph.adj, rng.randrange
     for _ in range(restarts):
-        found = _walk(subgraph, source, destination, set(), rng)
+        found = _walk(adj, source, destination, {source}, randrange)
         if found is not None:
             return found
     return None
@@ -162,11 +161,12 @@ def neighbor_path(path: PathNodes, subgraph: Subgraph, rng: random.Random,
     avoids the kept prefix.  If no regrowth succeeds the original path is
     returned unchanged.
     """
+    adj, randrange = subgraph.adj, rng.randrange
     destination = path[-1]
     for _ in range(retries):
-        cut = rng.randrange(len(path) - 1)
+        cut = randrange(len(path) - 1)
         prefix = path[:cut + 1]
-        tail = _walk(subgraph, path[cut], destination, set(prefix[:-1]), rng)
+        tail = _walk(adj, path[cut], destination, set(prefix), randrange)
         if tail is not None:
             return prefix + tail[1:]
     return path
@@ -178,14 +178,17 @@ def path_fitness(path: PathNodes, topology: Topology, kb: KnowledgeBase,
 
     A path is rejected when any of its links offers less than
     ``bw_threshold`` Mbps; rejected paths do not participate in routing.
+    Each hop is one lookup in the knowledge base's per-link snapshot, which
+    holds exactly the topology's links; a hop missing from it is not a link.
     """
     if len(path) < 2 or len(set(path)) != len(path):
         raise ValueError(f"malformed path {path}")
-    bottleneck = math.inf
-    for u, v in zip(path, path[1:]):
-        if topology.link_between(u, v) is None:
-            raise ValueError(f"path uses nonexistent link ({u}, {v})")
-        bottleneck = min(bottleneck, kb.available_on(u, v))
+    available = kb.link_available_mbps
+    try:
+        bottleneck = min([available[(u, v) if u < v else (v, u)]
+                          for u, v in zip(path, path[1:])])
+    except KeyError as exc:
+        raise ValueError(f"path uses nonexistent link {exc.args[0]}") from None
     if bottleneck < bw_threshold:
         return None
     return Fitness(bottleneck)
@@ -298,6 +301,11 @@ def abc_search(subgraph: Subgraph, source: int, destination: int,
     onlookers reinforce sources in proportion to their nectar (bottleneck
     bandwidth); sources stuck for ``limit`` trials are abandoned to scouts.
     The best source ever seen is remembered across cycles.
+
+    Onlooker weights are built once per onlooker phase and updated in place
+    when an onlooker's candidate is accepted, so every onlooker selects from
+    the current nectar of every source, exactly as if the weights were
+    rebuilt before each selection.
     """
     if source == destination:
         raise ValueError("source and destination must differ")
@@ -343,15 +351,18 @@ def abc_search(subgraph: Subgraph, source: int, destination: int,
                 src.trials += 1
             best.offer(candidate, fit)
 
-        # Onlooker phase: fitness-proportional reinforcement.
+        # Onlooker phase: fitness-proportional reinforcement.  Only an
+        # accepted candidate changes a weight, so weights stay current.
+        weights = [_weight(src.fitness) for src in sources]
         for _ in range(colony):
-            weights = [_weight(src.fitness) for src in sources]
-            chosen = sources[roulette_select(weights, rng)]
+            idx = roulette_select(weights, rng)
+            chosen = sources[idx]
             candidate = neighbor_path(chosen.path, subgraph, rng)
             notify("onlooker", candidate)
             fit = evaluate(candidate)
             if _fitness_value(fit) > _fitness_value(chosen.fitness):
                 chosen.path, chosen.fitness, chosen.trials = candidate, fit, 0
+                weights[idx] = _weight(fit)
             else:
                 chosen.trials += 1
             best.offer(candidate, fit)
@@ -391,6 +402,8 @@ def ga_search(subgraph: Subgraph, source: int, destination: int,
         if observer is not None and path is not None:
             observer(kind, path)
 
+    adj, randrange = subgraph.adj, rng.randrange
+
     def mutate(path: PathNodes) -> PathNodes:
         # Per intermediate gene: with probability mutation_rate, regrow the
         # suffix from that gene's predecessor (at most one regrowth per pass;
@@ -400,45 +413,49 @@ def ga_search(subgraph: Subgraph, source: int, destination: int,
         for i in range(1, len(path) - 1):
             if rng.random() < cfg.mutation_rate:
                 prefix = path[:i]
-                tail = _walk(subgraph, path[i - 1], destination, set(prefix[:-1]), rng)
+                tail = _walk(adj, path[i - 1], destination, set(prefix), randrange)
                 if tail is not None:
                     return prefix + tail[1:]
                 return path
         return path
 
     best = _BestTracker()
+    # Each member's fitness is evaluated once, when it joins the population.
     population: list[PathNodes] = []
+    fitnesses: list[Fitness | None] = []
     for _ in range(cfg.population_size):
         path = random_path(subgraph, source, destination, rng)
         notify("init", path)
         if path is None:
             continue
+        fit = evaluate(path)
         population.append(path)
-        best.offer(path, evaluate(path))
+        fitnesses.append(fit)
+        best.offer(path, fit)
     if not population:
         return _empty_result()
     best.record_cycle()  # generation 0: initial population
 
     for _ in range(cfg.generations):
-        fitnesses = [evaluate(p) for p in population]
         weights = [_weight(f) for f in fitnesses]
         offspring: list[PathNodes] = []
+        offspring_fitnesses: list[Fitness | None] = []
         while len(offspring) < len(population):
-            pa = population[roulette_select(weights, rng)]
+            ia = roulette_select(weights, rng)
+            pa = population[ia]
             pb = population[roulette_select(weights, rng)]
             for child in modified_crossover(pa, pb, rng):
                 child = mutate(child)
                 # Infeasible offspring (malformed, or bottleneck below the
                 # bandwidth threshold) are repaired and, failing that,
                 # replaced by a fresh scout path.
+                valid = path_is_valid(child, subgraph, source, destination)
                 repairs = 0
-                while repairs < REPAIR_ATTEMPTS and not path_is_valid(
-                        child, subgraph, source, destination):
+                while not valid and repairs < REPAIR_ATTEMPTS:
                     child = _excise_loops(child)
                     repairs += 1
-                fit = None
-                if path_is_valid(child, subgraph, source, destination):
-                    fit = evaluate(child)
+                    valid = path_is_valid(child, subgraph, source, destination)
+                fit = evaluate(child) if valid else None
                 if fit is None:
                     # Replacement paths should themselves be feasible, else
                     # they get zero selection weight and never breed.
@@ -451,15 +468,17 @@ def ga_search(subgraph: Subgraph, source: int, destination: int,
                         fit = evaluate(fresh)
                         if fit is not None:
                             break
-                    child = replacement if replacement is not None else pa
-                    if fit is None:
-                        fit = evaluate(child)
+                    if replacement is not None:
+                        child = replacement
+                    else:
+                        child, fit = pa, fitnesses[ia]
                 notify("offspring", child)
                 best.offer(child, fit)
                 offspring.append(child)
+                offspring_fitnesses.append(fit)
                 if len(offspring) >= len(population):
                     break
-        population = offspring
+        population, fitnesses = offspring, offspring_fitnesses
         best.record_cycle()
 
     return best.result()

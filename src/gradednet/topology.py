@@ -255,23 +255,36 @@ def topology_to_dict(topology: Topology) -> dict:
     }
 
 
+def _field(entry: dict, name: str, kind: type, where: str):
+    try:
+        return kind(entry[name])
+    except KeyError:
+        raise ValueError(f"{where} lacks field {name!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where} field {name!r}: {exc}") from None
+
+
 def topology_from_dict(doc: dict) -> Topology:
+    """Inverse of ``topology_to_dict``; a missing or mistyped field is a ValueError."""
     nodes = [
         Node(
-            int(entry["id"]), float(entry["x"]), float(entry["y"]),
+            _field(entry, "id", int, f"nodes[{i}]"),
+            _field(entry, "x", float, f"nodes[{i}]"),
+            _field(entry, "y", float, f"nodes[{i}]"),
             QosInputs(
-                network_lifetime=float(entry["lifetime"]),
-                node_density=int(entry["density"]),
-                resource_available=bool(entry["resource"]),
+                network_lifetime=_field(entry, "lifetime", float, f"nodes[{i}]"),
+                node_density=_field(entry, "density", int, f"nodes[{i}]"),
+                resource_available=_field(entry, "resource", bool, f"nodes[{i}]"),
             ),
         )
-        for entry in doc["nodes"]
+        for i, entry in enumerate(_field(doc, "nodes", list, "topology"))
     ]
     links = [
-        Link(int(entry["a"]), int(entry["b"]), float(entry["capacity_mbps"]))
-        for entry in doc["links"]
+        Link(_field(entry, "a", int, f"links[{i}]"), _field(entry, "b", int, f"links[{i}]"),
+             _field(entry, "capacity_mbps", float, f"links[{i}]"))
+        for i, entry in enumerate(_field(doc, "links", list, "topology"))
     ]
-    return Topology(seed=int(doc["seed"]), nodes=nodes, links=links)
+    return Topology(seed=_field(doc, "seed", int, "topology"), nodes=nodes, links=links)
 
 
 def save_topology(topology: Topology, path: str | Path) -> None:

@@ -157,6 +157,31 @@ def test_bad_config_key_exits_one(tmp_path, capsys):
     assert code == 1
 
 
+def test_topology_missing_node_field_exits_one(tmp_path, capsys):
+    out = tmp_path / "run"
+    _run(capsys, "generate", "--n", "12", "--seed", "3", "--out", str(out))
+    doc = json.loads((out / "topology.json").read_text())
+    del doc["nodes"][0]["lifetime"]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    for command in (["grade"], ["route", "--source", "0", "--destination", "5"]):
+        code, _, err = _run(capsys, *command, "--topology", str(broken),
+                            "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert err.startswith("error:") and "lifetime" in err
+
+
+def test_config_field_of_wrong_type_exits_one(tmp_path, capsys):
+    for doc in ({"n": "abc"}, {"link_density": True}, {"colony_size": 2.5},
+                {"node_counts": 64}, [1, 2]):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(doc))
+        code, _, err = _run(capsys, "generate", "--config", str(cfg_path),
+                            "--out", str(tmp_path / "x"))
+        assert code == 1, doc
+        assert err.startswith("error:"), doc
+
+
 def _fast_config(tmp_path) -> str:
     path = tmp_path / "fast.json"
     if not path.exists():

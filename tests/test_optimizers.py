@@ -1,12 +1,18 @@
+import hashlib
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gradednet.bench import run_suite, run_trial, save_summary_json, trial_seed, write_records_csv
+from gradednet.config import RunConfig
 from gradednet.grading import GradingConfig, KnowledgeBase, build_knowledge_base
 from gradednet.optimizers import (
     AbcConfig,
+    Fitness,
     GaConfig,
     Subgraph,
     abc_search,
@@ -144,6 +150,54 @@ def test_fitness_reversal_invariant():
         fwd = path_fitness(path, topo, kb)
         rev = path_fitness(tuple(reversed(path)), topo, kb)
         assert fwd.bottleneck_bw == pytest.approx(rev.bottleneck_bw)
+
+
+@st.composite
+def _subgraph_walks(draw):
+    # A random graph on up to 9 nodes, random link bandwidths, a random
+    # allowed subset, and a random simple walk of at least one hop inside it.
+    n = draw(st.integers(2, 9))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    links = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    topo = _topology([((i + 0.5) / n, 0.5) for i in range(n)], links)
+    kb = KnowledgeBase(link_available_mbps={
+        key: draw(st.floats(0.0, 30.0)) for key in sorted(links)})
+    first = draw(st.sampled_from(sorted(links)))
+    allowed = frozenset(first) | frozenset(draw(st.sets(st.integers(0, n - 1))))
+    sub = Subgraph(topo, allowed)
+    path = list(first) if draw(st.booleans()) else list(reversed(first))
+    while draw(st.booleans()):
+        choices = [v for v in sub.adj[path[-1]] if v not in path]
+        if not choices:
+            break
+        path.append(draw(st.sampled_from(choices)))
+    # Thresholds equal to a link's bandwidth probe the boundary of rejection.
+    threshold = draw(st.sampled_from([0.0, 4.5, *kb.link_available_mbps.values()]))
+    return topo, kb, sub, tuple(path), threshold
+
+
+@settings(max_examples=300, deadline=None)
+@given(_subgraph_walks())
+def test_path_fitness_matches_reference(case):
+    topo, kb, sub, path, threshold = case
+    assert path_is_valid(path, sub, path[0], path[-1])
+    bottleneck = min(kb.available_on(u, v) for u, v in zip(path, path[1:]))
+    expected = None if bottleneck < threshold else Fitness(bottleneck)
+    assert path_fitness(path, topo, kb, threshold) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(_subgraph_walks(), st.data())
+def test_path_fitness_rejects_malformed(case, data):
+    topo, kb, sub, path, threshold = case
+    with pytest.raises(ValueError):
+        path_fitness(path[:1], topo, kb, threshold)
+    with pytest.raises(ValueError):
+        path_fitness(path + (data.draw(st.sampled_from(path[:-1])),), topo, kb, threshold)
+    strangers = [v for v in range(topo.n) if v not in path and v not in topo.adjacency[path[-1]]]
+    if strangers:
+        with pytest.raises(ValueError):
+            path_fitness(path + (data.draw(st.sampled_from(strangers)),), topo, kb, threshold)
 
 
 # ---------------------------------------------------------------- roulette
@@ -364,3 +418,41 @@ def test_config_validation():
         GaConfig(population_size=1)
     with pytest.raises(ValueError):
         GaConfig(mutation_rate=1.5)
+
+
+# ---------------------------------------------------------------- RNG order
+
+# sha256 of repr((abc, ga)) for run_trial(n, trial_seed(7, n, k), RunConfig()),
+# all trials with a route.  Any change to how the searches draw from their
+# random streams changes these; update them only together with a CHANGES.md
+# entry saying that RNG consumption changed.
+PINNED_TRIALS = {
+    (64, 1): "ca44d8bb327d8976b895bb1f253826df0179ab8aa056b201d8e089e573c1fe9a",
+    (64, 2): "d5299bce35006a6432f8b9d597e97ce71317ee3fffdc7af9d5dfb11693ab295a",
+    (64, 3): "8107bd2378a4ad6d6c2a1c58ab9bd69fb3bd8c931797b4e2da8593e96e163a45",
+    (64, 4): "1b7b8461d53a9f5d3b23e913fc4f326c829231fc7de43f94e63826eae319946b",
+    (256, 21): "93a3a97e80118315529c322ca3a88e4db999eca5cda19a17f29252e899ade9a7",
+    (256, 33): "a44cae9466632d4cce57995c9a8b4068341022bcf0b7ce9884c662d22e258966",
+}
+
+
+@pytest.mark.parametrize("n, k", sorted(PINNED_TRIALS))
+def test_trial_results_pinned(n, k):
+    record = run_trial(n, trial_seed(7, n, k), RunConfig())
+    assert record.abc.found and record.ga.found
+    digest = hashlib.sha256(repr((record.abc, record.ga)).encode()).hexdigest()
+    assert digest == PINNED_TRIALS[(n, k)]
+
+
+def test_suite_artifacts_pinned(tmp_path):
+    # Eight trials, three of them with a route.
+    summary, records = run_suite(RunConfig(seed=1), node_counts=(32, 64), seeds_per_n=4)
+    assert sum(record.abc.found for record in records) == 3
+    write_records_csv([record.to_row() for record in records], tmp_path / "results.csv")
+    save_summary_json(summary, tmp_path / "summary.json")
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("results.csv", "summary.json")}
+    assert digests == {
+        "results.csv": "5163e7bb203d471cf176ca9caf4afc840df70d9d93c16defacf8046edc73a4f3",
+        "summary.json": "290950be09cc2767406c4ae50181a819c80a2d7a620c8bc7a16e9b4f6ce2fbfb",
+    }
