@@ -1,64 +1,3 @@
 """Graded-network routing simulator and optimizer benchmark."""
 
-from .bench import (
-    SuiteSummary,
-    TrialRecord,
-    convergence_ratio,
-    emit_plot_data,
-    run_suite,
-    run_trial,
-)
-from .config import RunConfig
-from .grading import (
-    DelayInputs,
-    GradeRecord,
-    GradingConfig,
-    KnowledgeBase,
-    average_delay,
-    balance_traffic,
-    build_knowledge_base,
-    congestion_check,
-    level1_priority,
-    level2_grade,
-    select_feasible,
-)
-from .optimizers import (
-    AbcConfig,
-    Fitness,
-    GaConfig,
-    RouteResult,
-    Subgraph,
-    abc_search,
-    ga_search,
-    modified_crossover,
-    neighbor_path,
-    path_fitness,
-    random_path,
-    roulette_select,
-)
-from .topology import (
-    Link,
-    Node,
-    QosInputs,
-    Quadrant,
-    Topology,
-    generate_topology,
-    load_topology,
-    neighbors,
-    quadrant_candidates,
-    quadrant_of,
-    save_topology,
-)
-from .traffic import (
-    ArrivalModel,
-    LinkState,
-    TrafficParams,
-    available_bandwidth,
-    link_load_at,
-    load_derivative,
-    refresh_schedule,
-    sample_poisson_arrivals,
-    traffic_intensity,
-)
-
 __version__ = "0.1.0"

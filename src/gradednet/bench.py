@@ -2,6 +2,8 @@
 
 A trial is the full protocol on one topology: generate, grade, prune to the
 destination quadrant, then run both optimizers on the identical subgraph.
+``prepare_trial`` is the one implementation of the steps before the searches;
+``run_trial`` and the ``route`` command build on it and its parts.
 Each trial's seed is split into independent per-purpose streams (topology,
 grading, endpoints, one per algorithm) so adding an algorithm later never
 perturbs the existing ones.
@@ -19,9 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .grading import build_knowledge_base, select_feasible
-from .optimizers import RouteResult, Subgraph, abc_search, ga_search
-from .topology import generate_topology, quadrant_candidates
+from .grading import KnowledgeBase, build_knowledge_base, select_feasible
+from .optimizers import Observer, RouteResult, Subgraph, abc_search, ga_search
+from .topology import Topology, generate_topology, quadrant_candidates
 from .traffic import sample_link_states, traffic_intensity
 
 STREAM_TOPOLOGY = 0
@@ -132,40 +134,77 @@ class SuiteSummary:
     compared_trials: int = 0
 
 
-def run_trial(n: int, seed: int, config: RunConfig) -> TrialRecord:
-    """Run the full protocol once: generate, grade, prune, search with both algorithms."""
-    if n < 2:
-        raise ValueError("need at least 2 nodes")
+@dataclass
+class PreparedTrial:
+    """One trial up to the searches: the graded topology and its pruned subgraph."""
 
+    topology: Topology
+    kb: KnowledgeBase
+    feasible: set[int]
+    source: int
+    destination: int
+    subgraph: Subgraph
+
+
+def grade_topology(topology: Topology, config: RunConfig, seed: int) -> KnowledgeBase:
+    """Sample link states, then grade every node, both from the seed's grading stream.
+
+    The two stages draw from one numpy stream in this order, so the same
+    topology, config and seed always give the identical knowledge base.
+    """
+    rng = stream_np_rng(seed, STREAM_GRADING)
+    states = sample_link_states(
+        len(topology.links), rng,
+        capacity_mbps=config.max_bandwidth_mbps,
+        flow_rate_mbps=config.flow_rate_mbps, mu=config.mu,
+    )
+    return build_knowledge_base(topology, states, config.grading_config(), rng)
+
+
+def prune(topology: Topology, kb: KnowledgeBase, source: int, destination: int,
+          mode: str) -> tuple[set[int], Subgraph]:
+    """Nodes kept by grading, and the subgraph of those in the destination's quadrant."""
+    feasible = select_feasible(topology, kb, mode)
+    candidates = quadrant_candidates(topology, source, destination) & feasible
+    return feasible, Subgraph.from_topology(topology, candidates, source)
+
+
+def prepare_trial(n: int, seed: int, config: RunConfig) -> PreparedTrial:
+    """Generate, grade, pick endpoints and prune: the protocol before the searches."""
     topology = generate_topology(
         n, config.link_density, child_seed(seed, STREAM_TOPOLOGY),
         capacity_mbps=config.max_bandwidth_mbps,
         lifetime_scale=config.lifetime_scale,
     )
-
-    grading_rng = stream_np_rng(seed, STREAM_GRADING)
-    states = sample_link_states(
-        len(topology.links), grading_rng,
-        capacity_mbps=config.max_bandwidth_mbps,
-        flow_rate_mbps=config.flow_rate_mbps, mu=config.mu,
-    )
-    kb = build_knowledge_base(topology, states, config.grading_config(), grading_rng)
-
+    kb = grade_topology(topology, config, seed)
     source, destination = pick_endpoints(topology, stream_py_rng(seed, STREAM_ENDPOINTS))
+    feasible, subgraph = prune(topology, kb, source, destination, config.selection_mode)
+    return PreparedTrial(topology, kb, feasible, source, destination, subgraph)
 
-    feasible = select_feasible(topology, kb, config.selection_mode)
-    quadrant = quadrant_candidates(topology, source, destination)
-    candidates = quadrant & feasible
-    subgraph = Subgraph.from_topology(topology, candidates, source)
 
-    abc = abc_search(subgraph, source, destination, config.abc_config(), kb,
-                     stream_py_rng(seed, STREAM_ABC), bw_threshold=config.bw_threshold_mbps)
-    ga = ga_search(subgraph, source, destination, config.ga_config(), kb,
-                   stream_py_rng(seed, STREAM_GA), bw_threshold=config.bw_threshold_mbps)
+_SEARCHES = {
+    "abc": (abc_search, RunConfig.abc_config, STREAM_ABC),
+    "ga": (ga_search, RunConfig.ga_config, STREAM_GA),
+}
 
+
+def search(trial: PreparedTrial, algo: str, config: RunConfig, seed: int,
+           observer: Observer | None = None) -> RouteResult:
+    """Run one optimizer ("abc" or "ga") on the trial's subgraph with its own stream."""
+    optimizer, algo_config, stream = _SEARCHES[algo]
+    return optimizer(trial.subgraph, trial.source, trial.destination, algo_config(config),
+                     trial.kb, stream_py_rng(seed, stream),
+                     bw_threshold=config.bw_threshold_mbps, observer=observer)
+
+
+def run_trial(n: int, seed: int, config: RunConfig) -> TrialRecord:
+    """Run the full protocol once: prepare the trial, then search with both algorithms."""
+    trial = prepare_trial(n, seed, config)
     return TrialRecord(
-        n_total=n, n_selected=len(feasible), abc=abc, ga=ga, seed=seed,
-        selection_mode=config.selection_mode, source=source, destination=destination,
+        n_total=n, n_selected=len(trial.feasible),
+        abc=search(trial, "abc", config, seed), ga=search(trial, "ga", config, seed),
+        seed=seed, selection_mode=config.selection_mode,
+        source=trial.source, destination=trial.destination,
     )
 
 

@@ -14,29 +14,21 @@ import sys
 from pathlib import Path
 
 from .bench import (
-    STREAM_ABC,
-    STREAM_GA,
-    STREAM_GRADING,
-    stream_np_rng,
-    stream_py_rng,
+    PreparedTrial,
     emit_plot_data,
+    grade_topology,
+    prune,
     run_suite,
     save_summary_json,
+    search,
     summary_to_dict,
     write_plot_csv,
     write_records_csv,
 )
 from .config import RunConfig
-from .grading import build_knowledge_base, save_grade_dump, select_feasible
-from .optimizers import RouteResult, Subgraph, abc_search, ga_search
-from .topology import (
-    generate_topology,
-    load_topology,
-    quadrant_candidates,
-    quadrant_of,
-    save_topology,
-)
-from .traffic import sample_link_states
+from .grading import save_grade_dump, select_feasible
+from .optimizers import RouteResult
+from .topology import generate_topology, load_topology, quadrant_of, save_topology
 
 
 class _UsageError(Exception):
@@ -118,10 +110,6 @@ def _prepare_out(config: RunConfig) -> Path:
 
 
 def cmd_generate(config: RunConfig) -> int:
-    if config.n < 2:
-        raise _UsageError(f"need at least 2 nodes, got {config.n}")
-    if not 0.0 < config.link_density <= 1.0:
-        raise _UsageError(f"link density must be in (0, 1], got {config.link_density}")
     out = _prepare_out(config)
     topology = generate_topology(config.n, config.link_density, config.seed,
                                  capacity_mbps=config.max_bandwidth_mbps,
@@ -131,18 +119,10 @@ def cmd_generate(config: RunConfig) -> int:
     return 0
 
 
-def _grade_topology(topology, config: RunConfig):
-    rng = stream_np_rng(config.seed, STREAM_GRADING)
-    states = sample_link_states(len(topology.links), rng,
-                                capacity_mbps=config.max_bandwidth_mbps,
-                                flow_rate_mbps=config.flow_rate_mbps, mu=config.mu)
-    return build_knowledge_base(topology, states, config.grading_config(), rng)
-
-
 def cmd_grade(config: RunConfig, topology_path: str) -> int:
     topology = load_topology(topology_path)
     out = _prepare_out(config)
-    kb = _grade_topology(topology, config)
+    kb = grade_topology(topology, config, config.seed)
     save_grade_dump(kb, config.selection_mode, out / "grade_dump.json")
     feasible = select_feasible(topology, kb, config.selection_mode)
     print(f"graded {topology.n} nodes ({config.selection_mode}): "
@@ -183,37 +163,28 @@ def cmd_route(config: RunConfig, topology_path: str, source: int,
         raise _UsageError("source and destination must differ")
 
     out = _prepare_out(config)
-    kb = _grade_topology(topology, config)
+    kb = grade_topology(topology, config, config.seed)
     save_grade_dump(kb, config.selection_mode, out / "grade_dump.json")
 
-    feasible = select_feasible(topology, kb, config.selection_mode)
-    quadrant = quadrant_candidates(topology, source, destination)
-    candidates = quadrant & feasible
-    subgraph = Subgraph.from_topology(topology, candidates, source)
+    feasible, subgraph = prune(topology, kb, source, destination, config.selection_mode)
+    trial = PreparedTrial(topology, kb, feasible, source, destination, subgraph)
     tag = quadrant_of(topology.nodes[source].position,
                       topology.nodes[destination].position)
 
     print(f"topology: {topology.n} nodes, {len(topology.links)} links")
     print(f"selection mode {config.selection_mode}: {len(feasible)}/{topology.n} nodes kept; "
-          f"destination quadrant {tag.name}: {len(candidates)} candidates")
+          f"destination quadrant {tag.name}: {len(subgraph.allowed) - 1} candidates")
     if destination not in feasible:
         priority = kb.records[destination].priority
         print(f"note: destination {destination} excluded by grading "
               f"(priority {priority}); no route can qualify")
 
-    results = {}
-    if algo in ("abc", "both"):
-        results["abc"] = abc_search(subgraph, source, destination, config.abc_config(),
-                                    kb, stream_py_rng(config.seed, STREAM_ABC),
-                                    bw_threshold=config.bw_threshold_mbps)
-    if algo in ("ga", "both"):
-        results["ga"] = ga_search(subgraph, source, destination, config.ga_config(),
-                                  kb, stream_py_rng(config.seed, STREAM_GA),
-                                  bw_threshold=config.bw_threshold_mbps)
-
-    for name in sorted(results):
-        _print_route(name, results[name])
-        doc = _route_result_dict(results[name])
+    for name in ("abc", "ga"):
+        if algo not in (name, "both"):
+            continue
+        result = search(trial, name, config, config.seed)
+        _print_route(name, result)
+        doc = _route_result_dict(result)
         doc["source"] = source
         doc["destination"] = destination
         doc["selection_mode"] = config.selection_mode

@@ -9,7 +9,6 @@ from pathlib import Path
 
 from .grading import SELECTION_MODES, GradingConfig
 from .optimizers import AbcConfig, GaConfig
-from .traffic import TrafficParams
 
 DEFAULT_NODE_COUNTS = (15, 16, 32, 64, 128, 256, 512, 1024)
 
@@ -40,6 +39,8 @@ class RunConfig:
     mu: float = 1.0
     alpha: float = 1.0
     arrival_horizon_s: float = 1.0
+    # Read by nothing; kept so run_config.json and older run directories
+    # (from_dict rejects unknown keys) stay valid.
     refresh_period_s: float = 30.0
     grade_time_s: float = 0.0
 
@@ -75,6 +76,12 @@ class RunConfig:
                 isinstance(v, int) and not isinstance(v, bool) for v in self.node_counts):
             raise ValueError(f"node_counts must be a list of ints, got {self.node_counts!r}")
         self.node_counts = tuple(self.node_counts)
+        if self.n < 2:
+            raise ValueError(f"n must be >= 2, got {self.n}")
+        if any(v < 2 for v in self.node_counts):
+            raise ValueError(f"node_counts entries must be >= 2, got {list(self.node_counts)}")
+        if not 0.0 < self.link_density <= 1.0:
+            raise ValueError(f"link_density must be in (0, 1], got {self.link_density}")
         if self.selection_mode not in SELECTION_MODES:
             raise ValueError(f"selection_mode must be one of {SELECTION_MODES}")
         if self.seeds_per_n < 1:
@@ -101,13 +108,7 @@ class RunConfig:
             arrival_horizon_s=self.arrival_horizon_s,
             flow_rate_mbps=self.flow_rate_mbps,
             grade_time_s=self.grade_time_s,
-            refresh_period_s=self.refresh_period_s,
         )
-
-    def traffic_params(self) -> TrafficParams:
-        return TrafficParams(packet_size_bytes=self.packet_size_bytes,
-                             link_capacity_mbps=self.max_bandwidth_mbps,
-                             refresh_period_s=self.refresh_period_s)
 
     def to_dict(self) -> dict:
         doc = dataclasses.asdict(self)
@@ -130,6 +131,3 @@ class RunConfig:
 
     def replace(self, **overrides) -> "RunConfig":
         return dataclasses.replace(self, **overrides)
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyKnowledgeBaseError, InfeasibleBalanceError, SaturatedChannelError
-from .topology import Link, QosInputs, Topology
+from .topology import QosInputs, Topology
 from .traffic import (
     ArrivalModel,
     LinkState,
@@ -56,7 +56,6 @@ class KnowledgeBase:
 
     records: dict[int, GradeRecord] = field(default_factory=dict)
     link_available_mbps: dict[tuple[int, int], float] = field(default_factory=dict)
-    refresh_period_s: float = 30.0
     stamped_at: float = 0.0
 
     def available_on(self, a: int, b: int) -> float:
@@ -65,13 +64,6 @@ class KnowledgeBase:
             return self.link_available_mbps[key]
         except KeyError:
             raise ValueError(f"no link between {a} and {b} in knowledge base") from None
-
-    def refresh_due(self, sim_time: float) -> bool:
-        """Whether the grade snapshot should be rebuilt at ``sim_time``."""
-        from .traffic import TrafficParams, refresh_schedule
-
-        return refresh_schedule(
-            TrafficParams(refresh_period_s=self.refresh_period_s), sim_time)
 
 
 @dataclass
@@ -88,7 +80,6 @@ class GradingConfig:
     arrival_horizon_s: float = 1.0
     flow_rate_mbps: float = 1.0
     grade_time_s: float = 0.0
-    refresh_period_s: float = 30.0
 
 
 def level1_priority(q: QosInputs, congested: bool, delayed: bool,
@@ -174,17 +165,6 @@ def level2_grade(node: int, topology: Topology, kb: KnowledgeBase) -> float:
     return sum(fractions) / len(fractions)
 
 
-def congestion_check(link: Link, threshold_fraction: float, *,
-                     flow_rate_mbps: float = 1.0, at_time: float = 0.0) -> bool:
-    """True when the link's free bandwidth fraction has dropped below the threshold."""
-    if not 0.0 < threshold_fraction < 1.0:
-        raise ValueError(f"threshold fraction must be in (0, 1), got {threshold_fraction}")
-    loaded = load_fraction(link.state, link.capacity_mbps,
-                           flow_rate_mbps=flow_rate_mbps, at_time=at_time)
-    free = available_bandwidth(link.capacity_mbps, loaded) / link.capacity_mbps
-    return free < threshold_fraction
-
-
 def select_feasible(topology: Topology, kb: KnowledgeBase,
                     mode: str = "best-classes") -> set[int]:
     """Nodes allowed to participate in routing, by priority class.
@@ -239,27 +219,25 @@ def balance_traffic(neighborhood_loads: tuple[float, ...] | list[float],
 
 
 def build_knowledge_base(topology: Topology,
-                         link_states: list[LinkState] | None,
+                         link_states: list[LinkState],
                          config: GradingConfig,
                          rng: np.random.Generator) -> KnowledgeBase:
     """Grade every node of a topology from a snapshot of link states.
 
-    ``link_states`` must align with ``topology.links``; ``None`` falls back to
-    the states stored on the links.  Lifetime and resource availability are
-    sampled per node, packet density comes from one window of Poisson
-    arrivals, congestion and delay derive from the link snapshot.  The same
-    rng state always produces the identical knowledge base.
+    ``link_states`` must align with ``topology.links``.  Lifetime and
+    resource availability are sampled per node, packet density comes from
+    one window of Poisson arrivals, congestion and delay derive from the
+    link snapshot.  The same rng state always produces the identical
+    knowledge base.
     """
-    states = list(link_states) if link_states is not None else [l.state for l in topology.links]
-    if len(states) != len(topology.links):
+    if len(link_states) != len(topology.links):
         raise ValueError("link_states must match topology.links one-to-one")
 
-    kb = KnowledgeBase(refresh_period_s=config.refresh_period_s,
-                       stamped_at=config.grade_time_s)
+    kb = KnowledgeBase(stamped_at=config.grade_time_s)
 
     # Per-link snapshot: free bandwidth and flow count at the grading instant.
     flows_on: dict[tuple[int, int], float] = {}
-    for link, state in zip(topology.links, states):
+    for link, state in zip(topology.links, link_states):
         loaded = load_fraction(state, link.capacity_mbps,
                                flow_rate_mbps=config.flow_rate_mbps,
                                at_time=config.grade_time_s)

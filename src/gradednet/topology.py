@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CoincidentPointError
-from .traffic import LinkState
 
 DEFAULT_CAPACITY_MBPS = 30.0
 DEFAULT_LIFETIME_SCALE = 100.0
@@ -68,12 +67,11 @@ class Node:
 
 @dataclass
 class Link:
-    """Undirected link between two nodes; load state is owned by the traffic model."""
+    """Undirected link between two nodes; load states are sampled per grading."""
 
     a: int
     b: int
     capacity_mbps: float
-    state: LinkState = field(default_factory=LinkState.idle)
 
     def __post_init__(self) -> None:
         if self.a == self.b:
@@ -227,13 +225,6 @@ def quadrant_candidates(topology: Topology, source: int, destination: int) -> se
     return members
 
 
-def neighbors(topology: Topology, node: int) -> frozenset[int]:
-    """Adjacency set of ``node``."""
-    if not topology.has_node(node):
-        raise ValueError(f"unknown node {node}")
-    return topology.adjacency[node]
-
-
 def topology_to_dict(topology: Topology) -> dict:
     return {
         "seed": topology.seed,
@@ -255,17 +246,29 @@ def topology_to_dict(topology: Topology) -> dict:
     }
 
 
+# Accepted JSON value types per field kind; bool is rejected wherever a
+# number is accepted, although Python counts it as one.
+_ACCEPTED_TYPES = {bool: (bool,), int: (int,), float: (int, float), list: (list,)}
+
+
 def _field(entry: dict, name: str, kind: type, where: str):
     try:
-        return kind(entry[name])
+        value = entry[name]
     except KeyError:
         raise ValueError(f"{where} lacks field {name!r}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{where} field {name!r}: {exc}") from None
+    except TypeError:
+        raise ValueError(f"{where} must be a JSON object") from None
+    if (isinstance(value, bool) and kind is not bool) or not isinstance(
+            value, _ACCEPTED_TYPES[kind]):
+        raise ValueError(f"{where} field {name!r} must be {kind.__name__}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 def topology_from_dict(doc: dict) -> Topology:
-    """Inverse of ``topology_to_dict``; a missing or mistyped field is a ValueError."""
+    """Inverse of ``topology_to_dict``; a missing, mistyped or empty field is a ValueError."""
+    entries = _field(doc, "nodes", list, "topology")
+    if not entries:
+        raise ValueError("topology field 'nodes' must not be empty")
     nodes = [
         Node(
             _field(entry, "id", int, f"nodes[{i}]"),
@@ -277,7 +280,7 @@ def topology_from_dict(doc: dict) -> Topology:
                 resource_available=_field(entry, "resource", bool, f"nodes[{i}]"),
             ),
         )
-        for i, entry in enumerate(_field(doc, "nodes", list, "topology"))
+        for i, entry in enumerate(entries)
     ]
     links = [
         Link(_field(entry, "a", int, f"links[{i}]"), _field(entry, "b", int, f"links[{i}]"),

@@ -39,31 +39,6 @@ class LinkState:
         if self.gamma < 0:
             raise ValueError(f"arrival rate must be nonnegative, got {self.gamma}")
 
-    @classmethod
-    def idle(cls) -> "LinkState":
-        return cls(0.0, 0.0, 1.0)
-
-
-@dataclass
-class TrafficParams:
-    """Fixed per-run traffic constants."""
-
-    packet_size_bytes: int = 200
-    link_capacity_mbps: float = 30.0
-    refresh_period_s: float = 30.0
-
-    def __post_init__(self) -> None:
-        if self.packet_size_bytes <= 0:
-            raise ValueError("packet size must be positive")
-        if self.link_capacity_mbps <= 0:
-            raise ValueError("link capacity must be positive")
-        if self.refresh_period_s <= 0:
-            raise ValueError("refresh period must be positive")
-
-    @property
-    def packet_size_bits(self) -> int:
-        return self.packet_size_bytes * 8
-
 
 @dataclass
 class ArrivalModel:
@@ -98,11 +73,6 @@ def link_load_at(state: LinkState, t: float) -> float:
         raise ValueError(f"time must be nonnegative, got {t}")
     decay = math.exp(-state.mu * t)
     return state.t0 * decay + (state.gamma / state.mu) * (1.0 - decay)
-
-
-def load_derivative(state: LinkState, load: float) -> float:
-    """Instantaneous rate of change of the link load: arrivals minus departures."""
-    return state.gamma - state.mu * load
 
 
 def available_bandwidth(capacity_mbps: float, load_fraction: float) -> float:
@@ -157,15 +127,6 @@ def sample_poisson_arrivals(model: ArrivalModel, horizon: float,
     probs = np.asarray(model.routing_probs, dtype=float)
     probs = probs / probs.sum()
     return rng.multinomial(total, probs)
-
-
-def refresh_schedule(params: TrafficParams, sim_time: float) -> bool:
-    """True exactly when ``sim_time`` sits on a positive multiple of the refresh period."""
-    period = params.refresh_period_s
-    k = round(sim_time / period)
-    if k < 1:
-        return False
-    return math.isclose(sim_time, k * period, rel_tol=1e-9, abs_tol=1e-9)
 
 
 def sample_link_states(n_links: int, rng: np.random.Generator, *,

@@ -13,18 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from gradednet.bench import (
-    STREAM_ABC,
-    STREAM_GA,
-    STREAM_GRADING,
-    STREAM_TOPOLOGY,
-    child_seed,
-    pick_endpoints,
-    run_trial,
-    trial_seed,
-    stream_np_rng,
-    stream_py_rng,
-)
+from gradednet.bench import prepare_trial, run_trial, search, trial_seed
 from gradednet.cli import main as cli_main
 from gradednet.config import RunConfig
 from gradednet.errors import SaturatedChannelError
@@ -33,7 +22,6 @@ from gradednet.grading import (
     average_delay,
     balance_traffic,
     build_knowledge_base,
-    select_feasible,
 )
 from gradednet.optimizers import (
     AbcConfig,
@@ -62,31 +50,6 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 # ------------------------------------------------------------------ fixtures
 
-def _search_protocol(n: int, seed: int, config: RunConfig, observer=None):
-    """One full protocol pass, mirroring run_trial but exposing the subgraph."""
-    topology = generate_topology(
-        n, config.link_density, child_seed(seed, STREAM_TOPOLOGY),
-        capacity_mbps=config.max_bandwidth_mbps,
-        lifetime_scale=config.lifetime_scale)
-    grading_rng = stream_np_rng(seed, STREAM_GRADING)
-    states = sample_link_states(
-        len(topology.links), grading_rng,
-        capacity_mbps=config.max_bandwidth_mbps,
-        flow_rate_mbps=config.flow_rate_mbps, mu=config.mu)
-    kb = build_knowledge_base(topology, states, config.grading_config(), grading_rng)
-    source, destination = pick_endpoints(topology, stream_py_rng(seed, 4))
-    candidates = quadrant_candidates(topology, source, destination) & \
-        select_feasible(topology, kb, config.selection_mode)
-    subgraph = Subgraph.from_topology(topology, candidates, source)
-    abc = abc_search(subgraph, source, destination, config.abc_config(), kb,
-                     stream_py_rng(seed, STREAM_ABC),
-                     bw_threshold=config.bw_threshold_mbps, observer=observer)
-    ga = ga_search(subgraph, source, destination, config.ga_config(), kb,
-                   stream_py_rng(seed, STREAM_GA),
-                   bw_threshold=config.bw_threshold_mbps, observer=observer)
-    return subgraph, source, destination, abc, ga
-
-
 @pytest.fixture(scope="module")
 def validity_sweep():
     """1000 seeded protocol trials over n in {15, 32, 64} with a path observer."""
@@ -96,33 +59,17 @@ def validity_sweep():
     for index in range(1000):
         n = (15, 32, 64)[index % 3]
         seed = trial_seed(1000, n, index)
-        holder = {}
+        # the observer needs the subgraph before the searches run
+        trial = prepare_trial(n, seed, config)
 
         def observe(kind, path):
-            if not path_is_valid(path, holder["sub"], holder["s"], holder["d"]):
+            if not path_is_valid(path, trial.subgraph, trial.source, trial.destination):
                 nonlocal violations
                 violations += 1
 
-        # the observer needs the subgraph before searches run; two-phase setup
-        topology = generate_topology(n, config.link_density,
-                                     child_seed(seed, STREAM_TOPOLOGY))
-        grading_rng = stream_np_rng(seed, STREAM_GRADING)
-        states = sample_link_states(len(topology.links), grading_rng,
-                                    capacity_mbps=config.max_bandwidth_mbps)
-        kb = build_knowledge_base(topology, states, config.grading_config(),
-                                  grading_rng)
-        source, destination = pick_endpoints(topology, stream_py_rng(seed, 4))
-        candidates = quadrant_candidates(topology, source, destination) & \
-            select_feasible(topology, kb, config.selection_mode)
-        subgraph = Subgraph.from_topology(topology, candidates, source)
-        holder.update(sub=subgraph, s=source, d=destination)
-        abc = abc_search(subgraph, source, destination, config.abc_config(), kb,
-                         stream_py_rng(seed, STREAM_ABC),
-                         bw_threshold=config.bw_threshold_mbps, observer=observe)
-        ga = ga_search(subgraph, source, destination, config.ga_config(), kb,
-                       stream_py_rng(seed, STREAM_GA),
-                       bw_threshold=config.bw_threshold_mbps, observer=observe)
-        outcomes.append((subgraph, source, destination, abc, ga))
+        abc = search(trial, "abc", config, seed, observe)
+        ga = search(trial, "ga", config, seed, observe)
+        outcomes.append((trial.subgraph, trial.source, trial.destination, abc, ga))
     return outcomes, violations
 
 

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from gradednet.cli import main
 
@@ -180,6 +183,67 @@ def test_config_field_of_wrong_type_exits_one(tmp_path, capsys):
                             "--out", str(tmp_path / "x"))
         assert code == 1, doc
         assert err.startswith("error:"), doc
+
+
+def test_grade_empty_topology_exits_one(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"seed": 1, "nodes": [], "links": []}))
+    out = tmp_path / "out"
+    code, _, err = _run(capsys, "grade", "--topology", str(path), "--out", str(out))
+    assert code == 1
+    assert err.startswith("error:") and "nodes" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("resource", "false"), ("id", 1.7), ("density", "3"), ("lifetime", True), ("x", "0.5"),
+])
+def test_topology_node_field_of_wrong_type_exits_one(tmp_path, capsys, field, value):
+    out = tmp_path / "run"
+    _run(capsys, "generate", "--n", "12", "--seed", "3", "--out", str(out))
+    doc = json.loads((out / "topology.json").read_text())
+    doc["nodes"][0][field] = value
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    for command in (["grade"], ["route", "--source", "0", "--destination", "5"]):
+        code, _, err = _run(capsys, *command, "--topology", str(broken),
+                            "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert err.startswith("error:") and repr(field) in err
+
+
+def test_bench_node_count_below_two_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "bench"
+    code, _, err = _run(capsys, "bench", "--node-counts", "1", "--out", str(out))
+    assert code == 1
+    assert err.startswith("error:") and "node_counts" in err
+    assert not out.exists()
+
+
+# sha256 of the route and grade artifacts of one small generate -> route/grade
+# run, recorded before the route command was built on bench's protocol
+# functions.  They change only if grading, pruning or the searches change.
+PINNED_ROUTE = {
+    "route/grade_dump.json": "31425de3070c2063960ddccc6235d92f13aadfce06874180f346f0dfeb96f0f5",
+    "route/route_abc.json": "184542d9d2d332fa0a29ad16fd1859294466b9b62fa0923fce3b2f5d41ffcfc9",
+    "route/route_ga.json": "30bd7de75f96c4f0049159c7d99a2b25c014ead685a23a9ab21ebc3bc6feda0b",
+    "grade/grade_dump.json": "31425de3070c2063960ddccc6235d92f13aadfce06874180f346f0dfeb96f0f5",
+}
+
+
+def test_route_and_grade_artifacts_pinned(tmp_path, capsys):
+    assert main(["generate", "--n", "40", "--seed", "7", "--out", str(tmp_path / "gen")]) == 0
+    topology = str(tmp_path / "gen" / "topology.json")
+    code, stdout, _ = _run(capsys, "route", "--topology", topology, "--source", "0",
+                           "--destination", "2", "--seed", "7",
+                           "--config", _fast_config(tmp_path), "--out", str(tmp_path / "route"))
+    assert code == 0
+    assert "[abc] path:" in stdout and "[ga] path:" in stdout
+    assert main(["grade", "--topology", topology, "--seed", "7",
+                 "--out", str(tmp_path / "grade")]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in PINNED_ROUTE}
+    assert digests == PINNED_ROUTE
 
 
 def _fast_config(tmp_path) -> str:

@@ -16,7 +16,6 @@ from gradednet.grading import (
     average_delay,
     balance_traffic,
     build_knowledge_base,
-    congestion_check,
     grade_dump,
     level1_priority,
     level2_grade,
@@ -133,18 +132,6 @@ def test_level2_grade_extremes():
     assert level2_grade(1, topo, full) == 0.0
 
 
-def test_congestion_check_thresholds():
-    idle = Link(0, 1, 30.0, state=LinkState(0.0, 0.0, 1.0))
-    saturated = Link(0, 1, 30.0, state=LinkState(30.0, 0.0, 1.0))
-    busy = Link(0, 1, 30.0, state=LinkState(12.0, 0.0, 1.0))  # 18 Mbps free
-    assert not congestion_check(idle, 0.1)
-    assert congestion_check(saturated, 0.1)
-    assert congestion_check(saturated, 0.9)
-    assert not congestion_check(busy, 0.5)  # 0.6 free >= 0.5
-    with pytest.raises(ValueError):
-        congestion_check(idle, 0.0)
-
-
 # ---------------------------------------------------------------- selection
 
 def _kb_with_priorities(priorities):
@@ -253,7 +240,8 @@ def test_build_kb_idle_network_best_classes():
 def test_build_kb_zero_lifetime_all_dead():
     topo = generate_topology(20, 0.25, 8)
     cfg = GradingConfig(lifetime_scale=1e-12, lifetime_threshold=20.0)
-    kb = build_knowledge_base(topo, None, cfg, np.random.default_rng(1))
+    kb = build_knowledge_base(topo, [LinkState() for _ in topo.links], cfg,
+                              np.random.default_rng(1))
     assert all(rec.priority == 6 for rec in kb.records.values())
     assert select_feasible(topo, kb, "best-classes") == set()
 
@@ -270,17 +258,10 @@ def test_build_kb_saturated_links_mark_delay():
     assert all(rec.available_bw_mbps == 0.0 for rec in kb.records.values())
 
 
-def test_kb_refresh_policy():
-    kb = KnowledgeBase(refresh_period_s=30.0)
-    assert kb.refresh_due(30.0)
-    assert kb.refresh_due(60.0)
-    assert not kb.refresh_due(29.9)
-    assert not kb.refresh_due(0.0)
-
-
 def test_grade_dump_schema():
     topo = generate_topology(10, 0.3, 3)
-    kb = build_knowledge_base(topo, None, GradingConfig(), np.random.default_rng(5))
+    kb = build_knowledge_base(topo, [LinkState() for _ in topo.links], GradingConfig(),
+                              np.random.default_rng(5))
     rows = grade_dump(kb, "best-classes")
     assert len(rows) == 10
     assert [row["id"] for row in rows] == sorted(row["id"] for row in rows)

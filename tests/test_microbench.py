@@ -9,29 +9,15 @@ import random
 
 import pytest
 
-from gradednet.bench import (
-    STREAM_ABC,
-    STREAM_ENDPOINTS,
-    STREAM_GRADING,
-    STREAM_TOPOLOGY,
-    child_seed,
-    pick_endpoints,
-    stream_np_rng,
-    stream_py_rng,
-    trial_seed,
-)
+from gradednet.bench import STREAM_ABC, prepare_trial, stream_py_rng, trial_seed
 from gradednet.config import RunConfig
-from gradednet.grading import build_knowledge_base, select_feasible
 from gradednet.optimizers import (
-    Subgraph,
     abc_search,
     neighbor_path,
     path_fitness,
     path_is_valid,
     random_path,
 )
-from gradednet.topology import generate_topology, quadrant_candidates
-from gradednet.traffic import sample_link_states
 
 CONFIG = RunConfig()
 N = 256
@@ -41,21 +27,12 @@ STEPS = 500
 
 @pytest.fixture(scope="module")
 def trial():
-    topology = generate_topology(N, CONFIG.link_density, child_seed(SEED, STREAM_TOPOLOGY),
-                                 capacity_mbps=CONFIG.max_bandwidth_mbps,
-                                 lifetime_scale=CONFIG.lifetime_scale)
-    rng = stream_np_rng(SEED, STREAM_GRADING)
-    states = sample_link_states(len(topology.links), rng,
-                                capacity_mbps=CONFIG.max_bandwidth_mbps,
-                                flow_rate_mbps=CONFIG.flow_rate_mbps, mu=CONFIG.mu)
-    kb = build_knowledge_base(topology, states, CONFIG.grading_config(), rng)
-    source, destination = pick_endpoints(topology, stream_py_rng(SEED, STREAM_ENDPOINTS))
-    candidates = (quadrant_candidates(topology, source, destination)
-                  & select_feasible(topology, kb, CONFIG.selection_mode))
-    subgraph = Subgraph.from_topology(topology, candidates, source)
-    start = random_path(subgraph, source, destination, random.Random(0))
+    prepared = prepare_trial(N, SEED, CONFIG)
+    start = random_path(prepared.subgraph, prepared.source, prepared.destination,
+                        random.Random(0))
     assert start is not None
-    return topology, kb, subgraph, source, destination, start
+    return (prepared.topology, prepared.kb, prepared.subgraph, prepared.source,
+            prepared.destination, start)
 
 
 def _perturbation_chain(start, subgraph, rng):

@@ -11,7 +11,6 @@ from gradednet.topology import (
     Topology,
     generate_topology,
     load_topology,
-    neighbors,
     quadrant_candidates,
     quadrant_of,
     save_topology,
@@ -126,14 +125,6 @@ def test_candidates_validation():
         quadrant_candidates(topo, 2, 2)
     with pytest.raises(ValueError):
         quadrant_candidates(topo, 0, 99)
-
-
-def test_neighbors_line_graph():
-    topo = _manual_topology([(0.1, 0.1), (0.5, 0.5), (0.9, 0.9)], [(0, 1), (1, 2)])
-    assert neighbors(topo, 1) == {0, 2}
-    assert neighbors(topo, 0) == {1}
-    with pytest.raises(ValueError):
-        neighbors(topo, 7)
 
 
 def test_topology_invariant_validation():

@@ -7,12 +7,9 @@ from gradednet.errors import CongestedLinkError
 from gradednet.traffic import (
     ArrivalModel,
     LinkState,
-    TrafficParams,
     available_bandwidth,
     link_load_at,
-    load_derivative,
     load_fraction,
-    refresh_schedule,
     sample_poisson_arrivals,
     traffic_intensity,
 )
@@ -74,13 +71,9 @@ def test_derivative_matches_finite_difference():
         state = LinkState(rng.uniform(0, 10), rng.uniform(0, 10), rng.uniform(0.1, 5))
         t = rng.uniform(h, 10)
         numeric = (link_load_at(state, t + h) - link_load_at(state, t - h)) / (2 * h)
-        analytic = load_derivative(state, link_load_at(state, t))
+        # right-hand side of the load ODE: dT/dt = gamma - mu*T
+        analytic = state.gamma - state.mu * link_load_at(state, t)
         assert abs(numeric - analytic) < 1e-5
-
-
-def test_derivative_fixed_points():
-    assert load_derivative(LinkState(0.0, 2.0, 1.0), 2.0) == 0.0
-    assert load_derivative(LinkState(5.0, 0.0, 1.0), 5.0) == -5.0
 
 
 def test_state_validation():
@@ -166,17 +159,3 @@ def test_arrival_model_validation():
         ArrivalModel(1.0, (1.2, -0.2))
     with pytest.raises(ValueError):
         sample_poisson_arrivals(ArrivalModel(1.0, (1.0,)), 0.0, np.random.default_rng(0))
-
-
-def test_refresh_schedule_boundaries():
-    params = TrafficParams(refresh_period_s=30.0)
-    assert refresh_schedule(params, 30.0)
-    assert not refresh_schedule(params, 29.9)
-    assert not refresh_schedule(params, 0.0)
-    assert refresh_schedule(params, 300.0)
-
-
-def test_refresh_schedule_count_over_window():
-    params = TrafficParams(refresh_period_s=30.0)
-    fired = sum(refresh_schedule(params, float(t)) for t in range(0, 301))
-    assert fired == 10
