@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,6 +21,10 @@ _ACCEPTED_TYPES = {
     "float": (int, float),
     "str": (str,),
 }
+
+# Keys of older run_config.json files whose fields are gone; from_dict drops
+# them so those files still load.
+_RETIRED_KEYS = ("refresh_period_s",)
 
 
 @dataclass
@@ -39,9 +44,6 @@ class RunConfig:
     mu: float = 1.0
     alpha: float = 1.0
     arrival_horizon_s: float = 1.0
-    # Read by nothing; kept so run_config.json and older run directories
-    # (from_dict rejects unknown keys) stay valid.
-    refresh_period_s: float = 30.0
     grade_time_s: float = 0.0
 
     # these thresholds keep roughly 60% of nodes, in line with the reference
@@ -72,6 +74,8 @@ class RunConfig:
             accepted = _ACCEPTED_TYPES.get(f.type)
             if accepted and (isinstance(value, bool) or not isinstance(value, accepted)):
                 raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if not isinstance(self.node_counts, (list, tuple)) or not all(
                 isinstance(v, int) and not isinstance(v, bool) for v in self.node_counts):
             raise ValueError(f"node_counts must be a list of ints, got {self.node_counts!r}")
@@ -86,6 +90,8 @@ class RunConfig:
             raise ValueError(f"selection_mode must be one of {SELECTION_MODES}")
         if self.seeds_per_n < 1:
             raise ValueError("seeds_per_n must be >= 1")
+        self.abc_config()
+        self.ga_config()
 
     def abc_config(self) -> AbcConfig:
         return AbcConfig(colony_size=self.colony_size, max_cycles=self.max_cycles,
@@ -119,6 +125,7 @@ class RunConfig:
     def from_dict(cls, doc: dict) -> "RunConfig":
         if not isinstance(doc, dict):
             raise ValueError("config must be a JSON object")
+        doc = {k: v for k, v in doc.items() if k not in _RETIRED_KEYS}
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(doc) - known
         if unknown:

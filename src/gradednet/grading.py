@@ -39,7 +39,6 @@ class GradeRecord:
     delay_s: float
     available_bw_mbps: float
     grade: float
-    stamped_at: float = 0.0
 
     def __post_init__(self) -> None:
         if self.priority not in (1, 2, 3, 4, 5, 6):
@@ -56,7 +55,6 @@ class KnowledgeBase:
 
     records: dict[int, GradeRecord] = field(default_factory=dict)
     link_available_mbps: dict[tuple[int, int], float] = field(default_factory=dict)
-    stamped_at: float = 0.0
 
     def available_on(self, a: int, b: int) -> float:
         key = (a, b) if a < b else (b, a)
@@ -153,18 +151,6 @@ def average_delay(d: DelayInputs) -> float:
     )
 
 
-def level2_grade(node: int, topology: Topology, kb: KnowledgeBase) -> float:
-    """Mean free fraction of the node's incident links, in [0, 1]."""
-    incident = topology.adjacency[node]
-    if not incident:
-        return 0.0
-    fractions = []
-    for other in incident:
-        link = topology.link_between(node, other)
-        fractions.append(kb.available_on(node, other) / link.capacity_mbps)
-    return sum(fractions) / len(fractions)
-
-
 def select_feasible(topology: Topology, kb: KnowledgeBase,
                     mode: str = "best-classes") -> set[int]:
     """Nodes allowed to participate in routing, by priority class.
@@ -233,17 +219,19 @@ def build_knowledge_base(topology: Topology,
     if len(link_states) != len(topology.links):
         raise ValueError("link_states must match topology.links one-to-one")
 
-    kb = KnowledgeBase(stamped_at=config.grade_time_s)
+    kb = KnowledgeBase()
 
-    # Per-link snapshot: free bandwidth and flow count at the grading instant.
-    flows_on: dict[tuple[int, int], float] = {}
+    # Per-link snapshot at the grading instant: free bandwidth, and the flow
+    # count and capacity the delay model needs.
+    flows_capacity: dict[tuple[int, int], tuple[float, float]] = {}
     for link, state in zip(topology.links, link_states):
         loaded = load_fraction(state, link.capacity_mbps,
                                flow_rate_mbps=config.flow_rate_mbps,
                                at_time=config.grade_time_s)
         key = link.key()
         kb.link_available_mbps[key] = available_bandwidth(link.capacity_mbps, loaded)
-        flows_on[key] = loaded * link.capacity_mbps / config.flow_rate_mbps
+        flows_capacity[key] = (loaded * link.capacity_mbps / config.flow_rate_mbps,
+                               link.capacity_mbps)
 
     n = topology.n
     lifetimes = rng.uniform(0.0, config.lifetime_scale, n)
@@ -260,50 +248,45 @@ def build_knowledge_base(topology: Topology,
             densities[j] += int(count)
 
     for node in topology.nodes:
-        incident = sorted(topology.adjacency[node.id])
+        v = node.id
         qos = QosInputs(
-            network_lifetime=float(lifetimes[node.id]),
-            node_density=int(densities[node.id]),
-            resource_available=bool(resources[node.id]),
+            network_lifetime=float(lifetimes[v]),
+            node_density=int(densities[v]),
+            resource_available=bool(resources[v]),
         )
 
-        if incident:
-            free_fracs = []
-            lams = []
-            caps = []
-            for other in incident:
-                link = topology.link_between(node.id, other)
-                key = link.key()
-                free_fracs.append(kb.link_available_mbps[key] / link.capacity_mbps)
-                lams.append(flows_on[key])
-                caps.append(link.capacity_mbps / config.flow_rate_mbps)
-            congested = (sum(free_fracs) / len(free_fracs)) < config.congestion_threshold
+        frees, fracs, lams, caps = [], [], [], []
+        for other in sorted(topology.adjacency[v]):
+            key = (v, other) if v < other else (other, v)
+            free = kb.link_available_mbps[key]
+            flows, capacity = flows_capacity[key]
+            frees.append(free)
+            fracs.append(free / capacity)
+            lams.append(flows)
+            caps.append(capacity / config.flow_rate_mbps)
+
+        if frees:
+            # Level 2: the mean free fraction, which is also level 1's congestion measure.
+            grade = sum(fracs) / len(fracs)
+            congested = grade < config.congestion_threshold
             try:
                 delay = average_delay(DelayInputs(
                     lam=tuple(lams), gamma_total=sum(lams) or 1.0,
                     mu=1.0, capacities=tuple(caps)))
             except SaturatedChannelError:
                 delay = math.inf
-            delay_threshold = config.delay_multiplier / min(caps)
-            delayed = delay > delay_threshold
+            delayed = delay > config.delay_multiplier / min(caps)
+            available = min(frees)
         else:
-            congested = False
-            delay = 0.0
-            delayed = False
+            grade = 0.0
+            congested = delayed = False
+            delay = available = 0.0
 
         priority = level1_priority(qos, congested, delayed,
                                    density_threshold=config.density_threshold,
                                    lifetime_threshold=config.lifetime_threshold)
-        available = min(
-            (kb.link_available_mbps[topology.link_between(node.id, o).key()] for o in incident),
-            default=0.0,
-        )
-        grade = level2_grade(node.id, topology, kb)
-        kb.records[node.id] = GradeRecord(
-            node=node.id, priority=priority, delay_s=delay,
-            available_bw_mbps=available, grade=grade,
-            stamped_at=config.grade_time_s,
-        )
+        kb.records[v] = GradeRecord(node=v, priority=priority, delay_s=delay,
+                                    available_bw_mbps=available, grade=grade)
     return kb
 
 

@@ -91,7 +91,6 @@ class Topology:
     nodes: list[Node]
     links: list[Link]
     adjacency: dict[int, frozenset[int]] = field(init=False, repr=False)
-    _link_index: dict[tuple[int, int], int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         ids = [node.id for node in self.nodes]
@@ -101,18 +100,14 @@ class Topology:
             if not (0.0 <= node.x <= 1.0 and 0.0 <= node.y <= 1.0):
                 raise ValueError(f"node {node.id} position outside the unit square")
         adj: dict[int, set[int]] = {i: set() for i in ids}
-        index: dict[tuple[int, int], int] = {}
-        for pos, link in enumerate(self.links):
+        for link in self.links:
             if link.a not in adj or link.b not in adj:
                 raise ValueError(f"link ({link.a}, {link.b}) references unknown node")
-            key = link.key()
-            if key in index:
-                raise ValueError(f"duplicate link {key}")
-            index[key] = pos
+            if link.b in adj[link.a]:
+                raise ValueError(f"duplicate link {link.key()}")
             adj[link.a].add(link.b)
             adj[link.b].add(link.a)
         self.adjacency = {i: frozenset(members) for i, members in adj.items()}
-        self._link_index = index
 
     @property
     def n(self) -> int:
@@ -120,11 +115,6 @@ class Topology:
 
     def has_node(self, node: int) -> bool:
         return 0 <= node < len(self.nodes)
-
-    def link_between(self, a: int, b: int) -> Link | None:
-        key = (a, b) if a < b else (b, a)
-        pos = self._link_index.get(key)
-        return self.links[pos] if pos is not None else None
 
 
 def generate_topology(n: int, link_density: float, seed: int, *,
@@ -261,6 +251,8 @@ def _field(entry: dict, name: str, kind: type, where: str):
     if (isinstance(value, bool) and kind is not bool) or not isinstance(
             value, _ACCEPTED_TYPES[kind]):
         raise ValueError(f"{where} field {name!r} must be {kind.__name__}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"{where} field {name!r} must be finite, got {value!r}")
     return float(value) if kind is float else value
 
 

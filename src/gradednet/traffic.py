@@ -140,6 +140,10 @@ def sample_link_states(n_links: int, rng: np.random.Generator, *,
     """
     if n_links < 0:
         raise ValueError("link count must be nonnegative")
+    if capacity_mbps <= 0:
+        raise ValueError(f"capacity must be positive, got {capacity_mbps}")
+    if flow_rate_mbps <= 0:
+        raise ValueError(f"flow rate must be positive, got {flow_rate_mbps}")
     max_flows = capacity_mbps / flow_rate_mbps
     t0s = rng.uniform(0.0, max_flows, n_links)
     gammas = rng.uniform(0.0, max_flows * mu, n_links)

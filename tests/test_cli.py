@@ -218,16 +218,101 @@ def test_bench_node_count_below_two_writes_nothing(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error:") and "node_counts" in err
     assert not out.exists()
+    # search settings are checked when the config is built, before any output
+    cfg_path = tmp_path / "config.json"
+    for doc in ({"colony_size": 0}, {"max_cycles": 0}, {"population_size": 1},
+                {"abc_limit": 0}, {"mutation_rate": 2}):
+        cfg_path.write_text(json.dumps(doc))
+        code, _, err = _run(capsys, "bench", "--config", str(cfg_path), "--out", str(out))
+        assert code == 1, doc
+        assert err.startswith("error:"), doc
+        assert not out.exists(), doc
+
+
+def test_zero_flow_rate_exits_one(tmp_path, capsys):
+    _run(capsys, "generate", "--n", "12", "--seed", "3", "--out", str(tmp_path / "gen"))
+    topology = str(tmp_path / "gen" / "topology.json")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"flow_rate_mbps": 0}))
+    for command in (["grade", "--topology", topology],
+                    ["route", "--topology", topology, "--source", "0", "--destination", "5"],
+                    ["bench", "--node-counts", "16", "--seeds-per-n", "1"]):
+        code, _, err = _run(capsys, *command, "--config", str(cfg_path),
+                            "--out", str(tmp_path / "x"))
+        assert code == 1, command
+        assert err.startswith("error:") and "flow rate" in err, command
+
+
+@pytest.mark.parametrize("text, field", [
+    ('{"mu": NaN}', "mu"),
+    ('{"lifetime_scale": Infinity}', "lifetime_scale"),
+    ('{"bw_threshold_mbps": NaN}', "bw_threshold_mbps"),
+    ('{"congestion_threshold": NaN}', "congestion_threshold"),
+])
+def test_config_non_finite_number_exits_one(tmp_path, capsys, text, field):
+    _run(capsys, "generate", "--n", "12", "--seed", "3", "--out", str(tmp_path / "gen"))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(text)
+    for command in (["grade"], ["route", "--source", "0", "--destination", "5"]):
+        code, _, err = _run(capsys, *command, "--topology", str(tmp_path / "gen" / "topology.json"),
+                            "--config", str(cfg_path), "--out", str(tmp_path / "x"))
+        assert code == 1, command
+        assert err.startswith("error:") and field in err, command
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("section, field, value", [
+    ("links", "capacity_mbps", float("nan")),
+    ("nodes", "lifetime", float("inf")),
+    ("nodes", "x", float("nan")),
+])
+def test_topology_non_finite_number_exits_one(tmp_path, capsys, section, field, value):
+    out = tmp_path / "run"
+    _run(capsys, "generate", "--n", "12", "--seed", "3", "--out", str(out))
+    doc = json.loads((out / "topology.json").read_text())
+    doc[section][0][field] = value
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    for command in (["grade"], ["route", "--source", "0", "--destination", "5"]):
+        code, _, err = _run(capsys, *command, "--topology", str(broken),
+                            "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert err.startswith("error:") and f"{section}[0] field {field!r}" in err
+
+
+def test_run_config_from_older_run_still_loads(tmp_path, capsys):
+    # refresh_period_s was a field of older releases; it is dropped on load
+    cfg_path = tmp_path / "old_run_config.json"
+    cfg_path.write_text(json.dumps({"n": 12, "seed": 3, "refresh_period_s": 30.0}))
+    out = tmp_path / "gen"
+    code, stdout, _ = _run(capsys, "generate", "--config", str(cfg_path), "--out", str(out))
+    assert code == 0
+    assert "12 nodes" in stdout
+
+
+def test_run_config_has_no_retired_keys(tmp_path, capsys):
+    out = tmp_path / "gen"
+    assert _run(capsys, "generate", "--n", "12", "--out", str(out))[0] == 0
+    doc = json.loads((out / "run_config.json").read_text())
+    assert "refresh_period_s" not in doc
+    # a run_config.json feeds back as --config and reproduces itself
+    again = tmp_path / "again"
+    assert _run(capsys, "generate", "--config", str(out / "run_config.json"),
+                "--out", str(again))[0] == 0
+    assert (again / "run_config.json").read_bytes() == (out / "run_config.json").read_bytes()
 
 
 # sha256 of the route and grade artifacts of one small generate -> route/grade
-# run, recorded before the route command was built on bench's protocol
-# functions.  They change only if grading, pruning or the searches change.
+# run.  They change only if grading, pruning or the searches change.  The
+# route files were recorded before the route command was built on bench's
+# protocol functions; the grade dumps were re-recorded when the level-2 grade
+# became the sorted-order sum that the congestion check compares (8 of the 40
+# grades moved, by at most 2.2e-16; every other field is unchanged).
 PINNED_ROUTE = {
-    "route/grade_dump.json": "31425de3070c2063960ddccc6235d92f13aadfce06874180f346f0dfeb96f0f5",
+    "route/grade_dump.json": "531fbdffefcb35bea5a790d1470e818dbefc6eb606ff26c57ae9b8c98771418e",
     "route/route_abc.json": "184542d9d2d332fa0a29ad16fd1859294466b9b62fa0923fce3b2f5d41ffcfc9",
     "route/route_ga.json": "30bd7de75f96c4f0049159c7d99a2b25c014ead685a23a9ab21ebc3bc6feda0b",
-    "grade/grade_dump.json": "31425de3070c2063960ddccc6235d92f13aadfce06874180f346f0dfeb96f0f5",
+    "grade/grade_dump.json": "531fbdffefcb35bea5a790d1470e818dbefc6eb606ff26c57ae9b8c98771418e",
 }
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradednet.errors import (
     EmptyKnowledgeBaseError,
@@ -18,11 +20,10 @@ from gradednet.grading import (
     build_knowledge_base,
     grade_dump,
     level1_priority,
-    level2_grade,
     select_feasible,
 )
 from gradednet.topology import Link, Node, QosInputs, Topology, generate_topology
-from gradednet.traffic import LinkState
+from gradednet.traffic import LinkState, sample_link_states
 
 
 def _qos(lifetime=90.0, density=0, resource=True):
@@ -107,7 +108,7 @@ def test_delay_inputs_validation():
         DelayInputs(lam=(1.0,), gamma_total=1.0, mu=0.0, capacities=(1.0,))
 
 
-# ---------------------------------------------------------------- level 2 / congestion
+# ---------------------------------------------------------------- level 2 grade
 
 def _two_link_topology():
     nodes = [Node(0, 0.1, 0.1, _qos()), Node(1, 0.5, 0.5, _qos()),
@@ -116,20 +117,38 @@ def _two_link_topology():
     return Topology(seed=0, nodes=nodes, links=links)
 
 
-def test_level2_grade_mean_free_fraction():
-    topo = _two_link_topology()
-    kb = KnowledgeBase(link_available_mbps={(0, 1): 12.0, (1, 2): 24.0})
-    # free fractions 0.4 and 0.8 -> mean 0.6
-    assert level2_grade(1, topo, kb) == pytest.approx(0.6)
-    assert level2_grade(0, topo, kb) == pytest.approx(0.4)
+def _grades(topo, states):
+    kb = build_knowledge_base(topo, states, GradingConfig(), np.random.default_rng(0))
+    return {node: rec.grade for node, rec in kb.records.items()}
 
 
-def test_level2_grade_extremes():
+def test_build_kb_grade_is_mean_free_fraction():
+    # 18 and 6 flows of 1 Mbps on 30 Mbps links leave 12 and 24 Mbps free:
+    # free fractions 0.4 and 0.8, so the middle node grades 0.6
+    grades = _grades(_two_link_topology(), [LinkState(18.0), LinkState(6.0)])
+    assert grades[1] == pytest.approx(0.6)
+    assert grades[0] == pytest.approx(0.4)
+
+
+def test_build_kb_grade_extremes():
     topo = _two_link_topology()
-    idle = KnowledgeBase(link_available_mbps={(0, 1): 30.0, (1, 2): 30.0})
-    full = KnowledgeBase(link_available_mbps={(0, 1): 0.0, (1, 2): 0.0})
-    assert level2_grade(1, topo, idle) == 1.0
-    assert level2_grade(1, topo, full) == 0.0
+    assert _grades(topo, [LinkState(), LinkState()])[1] == 1.0
+    assert _grades(topo, [LinkState(30.0), LinkState(30.0)])[1] == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 40), st.integers(0, 2**16), st.floats(0.0, 1.0))
+def test_build_kb_congested_exactly_below_threshold(n, seed, threshold):
+    # once lifetime (P6) and density (P5) pass, congestion decides P4 by
+    # comparing the level-2 grade with the threshold
+    topo = generate_topology(n, 0.3, seed)
+    rng = np.random.default_rng(seed)
+    states = sample_link_states(len(topo.links), rng)
+    cfg = GradingConfig(congestion_threshold=threshold)
+    kb = build_knowledge_base(topo, states, cfg, rng)
+    for rec in kb.records.values():
+        if rec.priority <= 4:
+            assert (rec.priority == 4) == (rec.grade < threshold)
 
 
 # ---------------------------------------------------------------- selection
@@ -218,7 +237,6 @@ def test_build_kb_deterministic():
     kbs = []
     for _ in range(2):
         rng = np.random.default_rng(99)
-        from gradednet.traffic import sample_link_states
         states = sample_link_states(len(topo.links), rng, capacity_mbps=30.0)
         kbs.append(build_knowledge_base(topo, states, cfg, rng))
     assert kbs[0].records == kbs[1].records

@@ -132,6 +132,8 @@ def test_topology_invariant_validation():
         _manual_topology([(0.1, 0.1), (0.5, 0.5)], [(0, 0)])
     with pytest.raises(ValueError):
         _manual_topology([(0.1, 0.1), (0.5, 0.5)], [(0, 1), (1, 0)])
+    with pytest.raises(ValueError, match="duplicate"):
+        _manual_topology([(0.1, 0.1), (0.5, 0.5)], [(0, 1), (0, 1)])
     with pytest.raises(ValueError):
         _manual_topology([(0.1, 1.5)], [])
 
