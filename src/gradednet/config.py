@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .grading import SELECTION_MODES, GradingConfig
 from .optimizers import AbcConfig, GaConfig
+from .topology import is_finite
 
 DEFAULT_NODE_COUNTS = (15, 16, 32, 64, 128, 256, 512, 1024)
 
@@ -20,6 +20,14 @@ _ACCEPTED_TYPES = {
     "int | None": (int, type(None)),
     "float": (int, float),
     "str": (str,),
+}
+
+# Fields that must be positive, with what each one is; the check runs when
+# the config is built, so a bad value fails before any output is written.
+_POSITIVE_FIELDS = {
+    "max_bandwidth_mbps": "link capacity",
+    "flow_rate_mbps": "flow rate",
+    "mu": "service rate",
 }
 
 # Keys of older run_config.json files whose fields are gone; from_dict drops
@@ -74,7 +82,7 @@ class RunConfig:
             accepted = _ACCEPTED_TYPES.get(f.type)
             if accepted and (isinstance(value, bool) or not isinstance(value, accepted)):
                 raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
-            if f.type == "float" and not math.isfinite(value):
+            if f.type == "float" and not is_finite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
         if not isinstance(self.node_counts, (list, tuple)) or not all(
                 isinstance(v, int) and not isinstance(v, bool) for v in self.node_counts):
@@ -86,6 +94,10 @@ class RunConfig:
             raise ValueError(f"node_counts entries must be >= 2, got {list(self.node_counts)}")
         if not 0.0 < self.link_density <= 1.0:
             raise ValueError(f"link_density must be in (0, 1], got {self.link_density}")
+        for name, meaning in _POSITIVE_FIELDS.items():
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} ({meaning}) must be positive, "
+                                 f"got {getattr(self, name)!r}")
         if self.selection_mode not in SELECTION_MODES:
             raise ValueError(f"selection_mode must be one of {SELECTION_MODES}")
         if self.seeds_per_n < 1:

@@ -19,13 +19,7 @@ import numpy as np
 
 from .errors import EmptyKnowledgeBaseError, InfeasibleBalanceError, SaturatedChannelError
 from .topology import QosInputs, Topology
-from .traffic import (
-    ArrivalModel,
-    LinkState,
-    available_bandwidth,
-    load_fraction,
-    sample_poisson_arrivals,
-)
+from .traffic import LinkState, available_bandwidth, load_fraction
 
 SELECTION_MODES = ("best-classes", "literal")
 
@@ -130,12 +124,36 @@ class DelayInputs:
             raise ValueError("flow rates must be nonnegative")
 
 
+def _sums(owner: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Sum of ``values`` per owner in 0..n-1, each added left to right in input order."""
+    return np.bincount(owner, weights=values, minlength=n).astype(float, copy=False)
+
+
+def _node_delays(lam: np.ndarray, capacities: np.ndarray, mu: float,
+                 gamma_total: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
+    """Mean queueing delay of each of ``n`` nodes over its channels.
+
+    Channel i carries ``lam[i]`` with capacity ``capacities[i]`` and belongs
+    to node ``owner[i]``; ``gamma_total`` holds each node's total traffic.
+    A node's delay is the sum over its channels, left to right, of
+    (lam_i / gamma) * 1 / (mu*C_i - lam_i).  It is inf when one of its
+    channels is saturated (mu*C_i <= lam_i) and 0.0 when all its flows are 0.
+    """
+    service = mu * capacities
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = (lam / gamma_total[owner]) * (1.0 / (service - lam))
+    delay = _sums(owner, terms, n)
+    delay[_sums(owner, lam != 0.0, n) == 0] = 0.0
+    delay[_sums(owner, service <= lam, n) > 0] = math.inf
+    return delay
+
+
 def average_delay(d: DelayInputs) -> float:
     """Mean queueing delay across a node's channels.
 
-    Sum over channels of (lam_i / gamma) * 1 / (mu*C_i - lam_i).  A channel
-    whose flow reaches its service capacity has unbounded delay and raises
-    SaturatedChannelError.
+    Sum over channels of (lam_i / gamma) * 1 / (mu*C_i - lam_i), computed by
+    the same code that grades every node.  A channel whose flow reaches its
+    service capacity has unbounded delay and raises SaturatedChannelError.
     """
     for lam_i, c_i in zip(d.lam, d.capacities):
         if d.mu * c_i <= lam_i:
@@ -145,10 +163,9 @@ def average_delay(d: DelayInputs) -> float:
         return 0.0
     if d.gamma_total <= 0:
         raise ValueError("gamma_total must be positive when flows are present")
-    return sum(
-        (lam_i / d.gamma_total) * (1.0 / (d.mu * c_i - lam_i))
-        for lam_i, c_i in zip(d.lam, d.capacities)
-    )
+    owner = np.zeros(len(d.lam), dtype=np.intp)
+    return float(_node_delays(np.array(d.lam), np.array(d.capacities), d.mu,
+                              np.array([d.gamma_total]), owner, 1)[0])
 
 
 def select_feasible(topology: Topology, kb: KnowledgeBase,
@@ -205,88 +222,87 @@ def balance_traffic(neighborhood_loads: tuple[float, ...] | list[float],
 
 
 def build_knowledge_base(topology: Topology,
-                         link_states: list[LinkState],
+                         link_states: LinkState,
                          config: GradingConfig,
                          rng: np.random.Generator) -> KnowledgeBase:
     """Grade every node of a topology from a snapshot of link states.
 
-    ``link_states`` must align with ``topology.links``.  Lifetime and
+    ``link_states`` columns align with ``topology.links``.  Lifetime and
     resource availability are sampled per node, packet density comes from
     one window of Poisson arrivals, congestion and delay derive from the
     link snapshot.  The same rng state always produces the identical
     knowledge base.
-    """
-    if len(link_states) != len(topology.links):
-        raise ValueError("link_states must match topology.links one-to-one")
 
-    kb = KnowledgeBase()
+    Everything but the arrival draws is computed on ``topology.edges``; a
+    node's sums run over its links in neighbor order, left to right.
+    """
+    edges = topology.edges
+    capacity = edges.capacity_mbps
+    for column in (link_states.t0, link_states.gamma):
+        if np.ndim(column) and np.shape(column) != capacity.shape:
+            raise ValueError("link_states must match topology.links one-to-one")
+    if config.alpha <= 0:
+        raise ValueError(f"arrival rate alpha must be positive, got {config.alpha}")
+    if config.arrival_horizon_s <= 0:
+        raise ValueError(f"horizon must be positive, got {config.arrival_horizon_s}")
 
     # Per-link snapshot at the grading instant: free bandwidth, and the flow
-    # count and capacity the delay model needs.
-    flows_capacity: dict[tuple[int, int], tuple[float, float]] = {}
-    for link, state in zip(topology.links, link_states):
-        loaded = load_fraction(state, link.capacity_mbps,
-                               flow_rate_mbps=config.flow_rate_mbps,
-                               at_time=config.grade_time_s)
-        key = link.key()
-        kb.link_available_mbps[key] = available_bandwidth(link.capacity_mbps, loaded)
-        flows_capacity[key] = (loaded * link.capacity_mbps / config.flow_rate_mbps,
-                               link.capacity_mbps)
+    # count and channel capacity the delay model needs.
+    loaded = load_fraction(link_states, capacity, flow_rate_mbps=config.flow_rate_mbps,
+                           at_time=config.grade_time_s)
+    free = available_bandwidth(capacity, loaded)
+    flows = loaded * capacity / config.flow_rate_mbps
+    channels = capacity / config.flow_rate_mbps
+    kb = KnowledgeBase(link_available_mbps=dict(zip(edges.keys, free.tolist())))
 
     n = topology.n
     lifetimes = rng.uniform(0.0, config.lifetime_scale, n)
     resources = rng.random(n) < config.resource_prob
 
-    densities = np.zeros(n, dtype=int)
-    for node in topology.nodes:
-        nbrs = sorted(topology.adjacency[node.id])
-        if not nbrs:
+    # Each linked node, in id order, hands one window of Poisson arrivals to
+    # its neighbors uniformly; a node's density is what its neighbors send it.
+    sent = np.zeros(len(edges.node), dtype=np.int64)
+    uniform: dict[int, np.ndarray] = {}
+    mean_arrivals = config.alpha * config.arrival_horizon_s
+    for start, degree in zip(edges.starts.tolist(), edges.degree.tolist()):
+        if not degree:
             continue
-        model = ArrivalModel(config.alpha, tuple(1.0 / len(nbrs) for _ in nbrs))
-        counts = sample_poisson_arrivals(model, config.arrival_horizon_s, rng)
-        for j, count in zip(nbrs, counts):
-            densities[j] += int(count)
+        if degree not in uniform:
+            probs = np.full(degree, 1.0 / degree)
+            uniform[degree] = probs / probs.sum()
+        total = int(rng.poisson(mean_arrivals))
+        sent[start:start + degree] = rng.multinomial(total, uniform[degree])
+    densities = _sums(edges.neighbor, sent, n).astype(np.int64)
 
-    for node in topology.nodes:
-        v = node.id
-        qos = QosInputs(
-            network_lifetime=float(lifetimes[v]),
-            node_density=int(densities[v]),
-            resource_available=bool(resources[v]),
-        )
+    # Level 2: the mean free fraction, which is also level 1's congestion measure.
+    node, link = edges.node, edges.link
+    linked = edges.degree > 0
+    grade = _sums(node, (free / capacity)[link], n) / np.maximum(edges.degree, 1)
+    congested = linked & (grade < config.congestion_threshold)
 
-        frees, fracs, lams, caps = [], [], [], []
-        for other in sorted(topology.adjacency[v]):
-            key = (v, other) if v < other else (other, v)
-            free = kb.link_available_mbps[key]
-            flows, capacity = flows_capacity[key]
-            frees.append(free)
-            fracs.append(free / capacity)
-            lams.append(flows)
-            caps.append(capacity / config.flow_rate_mbps)
+    lam = flows[link]
+    # A node whose flows are all 0 has gamma_total 0; _node_delays gives it 0.0.
+    gamma_total = _sums(node, lam, n)
+    delay = _node_delays(lam, channels[link], 1.0, gamma_total, node, n)
+    min_channel = np.full(n, math.inf)
+    available = np.zeros(n)
+    if linked.any():
+        first = edges.starts[linked]
+        min_channel[linked] = np.minimum.reduceat(channels[link], first)
+        available[linked] = np.minimum.reduceat(free[link], first)
+    delayed = linked & (delay > config.delay_multiplier / min_channel)
 
-        if frees:
-            # Level 2: the mean free fraction, which is also level 1's congestion measure.
-            grade = sum(fracs) / len(fracs)
-            congested = grade < config.congestion_threshold
-            try:
-                delay = average_delay(DelayInputs(
-                    lam=tuple(lams), gamma_total=sum(lams) or 1.0,
-                    mu=1.0, capacities=tuple(caps)))
-            except SaturatedChannelError:
-                delay = math.inf
-            delayed = delay > config.delay_multiplier / min(caps)
-            available = min(frees)
-        else:
-            grade = 0.0
-            congested = delayed = False
-            delay = available = 0.0
-
-        priority = level1_priority(qos, congested, delayed,
+    for v, lifetime, density, resource, is_congested, is_delayed, delay_s, avail, grade_v in zip(
+            range(n), lifetimes.tolist(), densities.tolist(), resources.tolist(),
+            congested.tolist(), delayed.tolist(), delay.tolist(), available.tolist(),
+            grade.tolist()):
+        qos = QosInputs(network_lifetime=lifetime, node_density=density,
+                        resource_available=resource)
+        priority = level1_priority(qos, is_congested, is_delayed,
                                    density_threshold=config.density_threshold,
                                    lifetime_threshold=config.lifetime_threshold)
-        kb.records[v] = GradeRecord(node=v, priority=priority, delay_s=delay,
-                                    available_bw_mbps=available, grade=grade)
+        kb.records[v] = GradeRecord(node=v, priority=priority, delay_s=delay_s,
+                                    available_bw_mbps=avail, grade=grade_v)
     return kb
 
 

@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,44 @@ class Link:
         return (self.a, self.b) if self.a < self.b else (self.b, self.a)
 
 
+@dataclass(frozen=True, eq=False)
+class EdgeArrays:
+    """A topology's links as numpy arrays, the form grading computes on.
+
+    capacity_mbps: one entry per link, in ``Topology.links`` order
+    keys:     each link's ``Link.key()``, in the same order
+    node, neighbor, link: the directed edges (both directions of every link)
+              sorted by (node, neighbor), each with the index of its link
+    degree:   links per node
+    starts:   index of each node's first directed edge
+    """
+
+    capacity_mbps: np.ndarray
+    keys: list[tuple[int, int]]
+    node: np.ndarray
+    neighbor: np.ndarray
+    link: np.ndarray
+    degree: np.ndarray
+    starts: np.ndarray
+
+    @classmethod
+    def of(cls, n: int, links: list[Link]) -> "EdgeArrays":
+        a = np.array([link.a for link in links], dtype=np.intp)
+        b = np.array([link.b for link in links], dtype=np.intp)
+        capacity = np.array([link.capacity_mbps for link in links], dtype=float)
+        node = np.concatenate((a, b))
+        neighbor = np.concatenate((b, a))
+        order = np.argsort(node * n + neighbor)  # keys are unique: one per directed edge
+        degree = np.bincount(node, minlength=n)
+        return cls(
+            capacity_mbps=capacity,
+            keys=[link.key() for link in links],
+            node=node[order], neighbor=neighbor[order],
+            link=np.tile(np.arange(len(links), dtype=np.intp), 2)[order],
+            degree=degree, starts=np.cumsum(degree) - degree,
+        )
+
+
 @dataclass
 class Topology:
     """A generated network: nodes, undirected links, and derived adjacency."""
@@ -112,6 +151,11 @@ class Topology:
     @property
     def n(self) -> int:
         return len(self.nodes)
+
+    @cached_property
+    def edges(self) -> EdgeArrays:
+        """The links as edge arrays, built on first use and kept for the topology's life."""
+        return EdgeArrays.of(self.n, self.links)
 
     def has_node(self, node: int) -> bool:
         return 0 <= node < len(self.nodes)
@@ -143,14 +187,12 @@ def generate_topology(n: int, link_density: float, seed: int, *,
     upper = np.triu(within, k=1)
     pairs = np.argwhere(upper)
 
-    links = [Link(int(a), int(b), capacity_mbps) for a, b in pairs]
-    degree = np.zeros(n, dtype=int)
-    for link in links:
-        degree[link.a] += 1
-        degree[link.b] += 1
+    links = [Link(a, b, capacity_mbps) for a, b in pairs.tolist()]
+    degree = np.bincount(pairs.ravel(), minlength=n)
 
-    # Attach every isolated node to its geometrically nearest peer.
-    for i in range(n):
+    # Attach every isolated node to its geometrically nearest peer.  The
+    # degree is read live: an earlier attachment may have linked node i.
+    for i in np.flatnonzero(degree == 0).tolist():
         if degree[i] > 0:
             continue
         d2 = dist2[i].copy()
@@ -236,6 +278,14 @@ def topology_to_dict(topology: Topology) -> dict:
     }
 
 
+def is_finite(value: int | float) -> bool:
+    """Whether a number is a finite float; an int beyond float range is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 # Accepted JSON value types per field kind; bool is rejected wherever a
 # number is accepted, although Python counts it as one.
 _ACCEPTED_TYPES = {bool: (bool,), int: (int,), float: (int, float), list: (list,)}
@@ -251,7 +301,7 @@ def _field(entry: dict, name: str, kind: type, where: str):
     if (isinstance(value, bool) and kind is not bool) or not isinstance(
             value, _ACCEPTED_TYPES[kind]):
         raise ValueError(f"{where} field {name!r} must be {kind.__name__}, got {value!r}")
-    if kind is float and not math.isfinite(value):
+    if kind is float and not is_finite(value):
         raise ValueError(f"{where} field {name!r} must be finite, got {value!r}")
     return float(value) if kind is float else value
 

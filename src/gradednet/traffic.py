@@ -20,24 +20,27 @@ from .errors import CongestedLinkError
 
 @dataclass
 class LinkState:
-    """Load state of one link.
+    """Load state of the links of a topology, one column per field.
 
-    t0:    flows routed across the link at time 0
-    gamma: flow arrival rate, flows/sec
-    mu:    flow service rate, 1/mean flow duration
+    t0:    flows routed across each link at time 0
+    gamma: flow arrival rate on each link, flows/sec
+    mu:    flow service rate shared by every link, 1/mean flow duration
+
+    ``t0`` and ``gamma`` are arrays aligned with ``topology.links``; a scalar
+    field applies to every link.
     """
 
-    t0: float = 0.0
-    gamma: float = 0.0
+    t0: np.ndarray | float = 0.0
+    gamma: np.ndarray | float = 0.0
     mu: float = 1.0
 
     def __post_init__(self) -> None:
         if self.mu <= 0:
             raise ValueError(f"service rate must be positive, got {self.mu}")
-        if self.t0 < 0:
-            raise ValueError(f"initial load must be nonnegative, got {self.t0}")
-        if self.gamma < 0:
-            raise ValueError(f"arrival rate must be nonnegative, got {self.gamma}")
+        if np.any(np.less(self.t0, 0)):
+            raise ValueError(f"initial load must be nonnegative, got {np.min(self.t0)}")
+        if np.any(np.less(self.gamma, 0)):
+            raise ValueError(f"arrival rate must be nonnegative, got {np.min(self.gamma)}")
 
 
 @dataclass
@@ -63,11 +66,12 @@ class ArrivalModel:
             raise ValueError(f"routing probabilities must sum to 1, got {sum(self.routing_probs)}")
 
 
-def link_load_at(state: LinkState, t: float) -> float:
-    """Load on a link after ``t`` seconds of exponential relaxation.
+def link_load_at(state: LinkState, t: float):
+    """Load on each link after ``t`` seconds of exponential relaxation.
 
     Closed form of dT/dt = gamma - mu*T starting from ``state.t0``:
-    T(t) = t0*exp(-mu*t) + (gamma/mu)*(1 - exp(-mu*t)).
+    T(t) = t0*exp(-mu*t) + (gamma/mu)*(1 - exp(-mu*t)).  The decay is one
+    scalar ``math.exp``, so every link sees exactly the same factor.
     """
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
@@ -75,28 +79,28 @@ def link_load_at(state: LinkState, t: float) -> float:
     return state.t0 * decay + (state.gamma / state.mu) * (1.0 - decay)
 
 
-def available_bandwidth(capacity_mbps: float, load_fraction: float) -> float:
-    """Bandwidth still free on a link whose load consumes ``load_fraction`` of it."""
-    if capacity_mbps <= 0:
+def available_bandwidth(capacity_mbps, load_fraction):
+    """Bandwidth still free on links whose load consumes ``load_fraction`` of them."""
+    if np.any(np.less_equal(capacity_mbps, 0)):
         raise ValueError("capacity must be positive")
-    if not 0.0 <= load_fraction <= 1.0:
+    if np.any(np.less(load_fraction, 0.0) | np.greater(load_fraction, 1.0)):
         raise ValueError(f"load fraction must be in [0, 1], got {load_fraction}")
     return capacity_mbps * (1.0 - load_fraction)
 
 
-def load_fraction(state: LinkState, capacity_mbps: float, *,
-                  flow_rate_mbps: float = 1.0, at_time: float = 0.0) -> float:
-    """Fraction of a link's capacity consumed by its flows at ``at_time``.
+def load_fraction(state: LinkState, capacity_mbps, *,
+                  flow_rate_mbps: float = 1.0, at_time: float = 0.0):
+    """Fraction of each link's capacity consumed by its flows at ``at_time``.
 
     Each flow consumes ``flow_rate_mbps``; the fraction is clamped to [0, 1]
     so an overloaded link reads as fully saturated rather than above capacity.
     """
-    if capacity_mbps <= 0:
+    if np.any(np.less_equal(capacity_mbps, 0)):
         raise ValueError("capacity must be positive")
     if flow_rate_mbps <= 0:
         raise ValueError("flow rate must be positive")
     consumed = link_load_at(state, at_time) * flow_rate_mbps
-    return min(1.0, max(0.0, consumed / capacity_mbps))
+    return np.minimum(1.0, np.maximum(0.0, consumed / capacity_mbps))
 
 
 def traffic_intensity(packet_size_bits: int, load: float, available_bps: float) -> float:
@@ -131,8 +135,8 @@ def sample_poisson_arrivals(model: ArrivalModel, horizon: float,
 
 def sample_link_states(n_links: int, rng: np.random.Generator, *,
                        capacity_mbps: float = 30.0, flow_rate_mbps: float = 1.0,
-                       mu: float = 1.0) -> list[LinkState]:
-    """Draw an initial load state for every link in a topology.
+                       mu: float = 1.0) -> LinkState:
+    """Draw an initial load state for every link in a topology, as one columnar record.
 
     Initial loads and arrival rates are uniform over the range a link can
     actually carry, so free fractions spread across [0, 1] and bottleneck
@@ -147,4 +151,4 @@ def sample_link_states(n_links: int, rng: np.random.Generator, *,
     max_flows = capacity_mbps / flow_rate_mbps
     t0s = rng.uniform(0.0, max_flows, n_links)
     gammas = rng.uniform(0.0, max_flows * mu, n_links)
-    return [LinkState(t0=float(t), gamma=float(g), mu=mu) for t, g in zip(t0s, gammas)]
+    return LinkState(t0=t0s, gamma=gammas, mu=mu)

@@ -2,15 +2,21 @@
 
 These deliberately avoid the code paths they verify: the ODE oracle
 integrates numerically instead of using the closed form, the path oracle
-enumerates exhaustively instead of searching, and the balance oracle solves
-a small LP.
+enumerates exhaustively instead of searching, the balance oracle solves
+a small LP, and the grading oracle walks links and nodes one at a time in
+plain Python instead of computing on edge arrays.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
+
+from gradednet.grading import GradeRecord, KnowledgeBase, level1_priority
+from gradednet.topology import QosInputs
+from gradednet.traffic import ArrivalModel, sample_poisson_arrivals
 
 
 def rk4_load(t0: float, gamma: float, mu: float, t_end: float,
@@ -127,3 +133,80 @@ def grid_balance_cost(cur: tuple[float, ...], envisaged: float,
         return None
     costs = np.abs(acts - np.asarray(cur)).sum(axis=1)
     return float(costs[feasible].min())
+
+
+def _left_to_right_sum(values) -> float:
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def grade_nodes_one_by_one(topology, link_states, config, rng):
+    """``build_knowledge_base`` as a per-link, then per-node, Python loop.
+
+    Every sum is an explicit left-to-right loop over a node's links in
+    neighbor order.  Draws from ``rng`` in the same order as the
+    implementation: lifetimes, resources, then one Poisson total and one
+    multinomial split per linked node, in id order.
+    """
+    m = len(topology.links)
+    t0s = np.broadcast_to(link_states.t0, (m,)).tolist()
+    gammas = np.broadcast_to(link_states.gamma, (m,)).tolist()
+    mu, flow_rate = link_states.mu, config.flow_rate_mbps
+    decay = math.exp(-mu * config.grade_time_s)
+
+    kb = KnowledgeBase()
+    flows_capacity = {}
+    for link, t0, gamma in zip(topology.links, t0s, gammas):
+        load = t0 * decay + (gamma / mu) * (1.0 - decay)
+        loaded = min(1.0, max(0.0, load * flow_rate / link.capacity_mbps))
+        kb.link_available_mbps[link.key()] = link.capacity_mbps * (1.0 - loaded)
+        flows_capacity[link.key()] = (loaded * link.capacity_mbps / flow_rate,
+                                      link.capacity_mbps)
+
+    n = topology.n
+    lifetimes = rng.uniform(0.0, config.lifetime_scale, n)
+    resources = rng.random(n) < config.resource_prob
+    densities = [0] * n
+    for v in range(n):
+        nbrs = sorted(topology.adjacency[v])
+        if not nbrs:
+            continue
+        model = ArrivalModel(config.alpha, tuple(1.0 / len(nbrs) for _ in nbrs))
+        counts = sample_poisson_arrivals(model, config.arrival_horizon_s, rng)
+        for j, count in zip(nbrs, counts):
+            densities[j] += int(count)
+
+    for v in range(n):
+        frees, fracs, lams, caps = [], [], [], []
+        for other in sorted(topology.adjacency[v]):
+            key = (v, other) if v < other else (other, v)
+            flows, capacity = flows_capacity[key]
+            frees.append(kb.link_available_mbps[key])
+            fracs.append(kb.link_available_mbps[key] / capacity)
+            lams.append(flows)
+            caps.append(capacity / flow_rate)
+        if frees:
+            grade = _left_to_right_sum(fracs) / len(fracs)
+            congested = grade < config.congestion_threshold
+            gamma_total = _left_to_right_sum(lams) or 1.0
+            if any(c <= lam for lam, c in zip(lams, caps)):
+                delay = math.inf
+            elif all(lam == 0.0 for lam in lams):
+                delay = 0.0
+            else:
+                delay = _left_to_right_sum(
+                    (lam / gamma_total) * (1.0 / (c - lam)) for lam, c in zip(lams, caps))
+            delayed = delay > config.delay_multiplier / min(caps)
+            available = min(frees)
+        else:
+            grade, congested, delayed, delay, available = 0.0, False, False, 0.0, 0.0
+        qos = QosInputs(network_lifetime=float(lifetimes[v]), node_density=densities[v],
+                        resource_available=bool(resources[v]))
+        priority = level1_priority(qos, congested, delayed,
+                                   density_threshold=config.density_threshold,
+                                   lifetime_threshold=config.lifetime_threshold)
+        kb.records[v] = GradeRecord(node=v, priority=priority, delay_s=delay,
+                                    available_bw_mbps=available, grade=grade)
+    return kb

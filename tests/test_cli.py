@@ -227,6 +227,15 @@ def test_bench_node_count_below_two_writes_nothing(tmp_path, capsys):
         assert code == 1, doc
         assert err.startswith("error:"), doc
         assert not out.exists(), doc
+    # so are the link and traffic rates, which only grading used to check
+    for doc in ({"flow_rate_mbps": 0}, {"max_bandwidth_mbps": 0}, {"mu": 0},
+                {"mu": -1.5}, {"flow_rate_mbps": -2}):
+        cfg_path.write_text(json.dumps(doc))
+        for command in ("bench", "generate"):
+            code, _, err = _run(capsys, command, "--config", str(cfg_path), "--out", str(out))
+            assert code == 1, (command, doc)
+            assert err.startswith("error:") and next(iter(doc)) in err, (command, doc)
+            assert not out.exists(), (command, doc)
 
 
 def test_zero_flow_rate_exits_one(tmp_path, capsys):
@@ -248,6 +257,9 @@ def test_zero_flow_rate_exits_one(tmp_path, capsys):
     ('{"lifetime_scale": Infinity}', "lifetime_scale"),
     ('{"bw_threshold_mbps": NaN}', "bw_threshold_mbps"),
     ('{"congestion_threshold": NaN}', "congestion_threshold"),
+    pytest.param('{"mu": 1%s}' % ("0" * 400), "mu", id="mu-401-digit-int"),
+    pytest.param('{"lifetime_threshold": -1%s}' % ("0" * 400), "lifetime_threshold",
+                 id="lifetime_threshold-401-digit-int"),
 ])
 def test_config_non_finite_number_exits_one(tmp_path, capsys, text, field):
     _run(capsys, "generate", "--n", "12", "--seed", "3", "--out", str(tmp_path / "gen"))
@@ -265,6 +277,8 @@ def test_config_non_finite_number_exits_one(tmp_path, capsys, text, field):
     ("links", "capacity_mbps", float("nan")),
     ("nodes", "lifetime", float("inf")),
     ("nodes", "x", float("nan")),
+    pytest.param("links", "capacity_mbps", 10 ** 400, id="links-capacity_mbps-401-digit-int"),
+    pytest.param("nodes", "lifetime", 10 ** 400, id="nodes-lifetime-401-digit-int"),
 ])
 def test_topology_non_finite_number_exits_one(tmp_path, capsys, section, field, value):
     out = tmp_path / "run"
@@ -329,6 +343,19 @@ def test_route_and_grade_artifacts_pinned(tmp_path, capsys):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in PINNED_ROUTE}
     assert digests == PINNED_ROUTE
+
+
+# sha256 of grade's grade_dump.json for an n=1024 topology (about 84k links),
+# recorded before grading moved from per-node loops onto edge arrays.
+PINNED_GRADE_1024 = "c588c7811f9c26a6d875b0fc6f0a324f292f6989381b8f9986a45b5c8269103c"
+
+
+def test_grade_dump_pinned_at_n_1024(tmp_path, capsys):
+    assert main(["generate", "--n", "1024", "--seed", "11", "--out", str(tmp_path / "gen")]) == 0
+    assert main(["grade", "--topology", str(tmp_path / "gen" / "topology.json"),
+                 "--seed", "11", "--out", str(tmp_path / "grade")]) == 0
+    digest = hashlib.sha256((tmp_path / "grade" / "grade_dump.json").read_bytes()).hexdigest()
+    assert digest == PINNED_GRADE_1024
 
 
 def _fast_config(tmp_path) -> str:

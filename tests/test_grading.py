@@ -24,6 +24,7 @@ from gradednet.grading import (
 )
 from gradednet.topology import Link, Node, QosInputs, Topology, generate_topology
 from gradednet.traffic import LinkState, sample_link_states
+from oracles import grade_nodes_one_by_one
 
 
 def _qos(lifetime=90.0, density=0, resource=True):
@@ -125,15 +126,15 @@ def _grades(topo, states):
 def test_build_kb_grade_is_mean_free_fraction():
     # 18 and 6 flows of 1 Mbps on 30 Mbps links leave 12 and 24 Mbps free:
     # free fractions 0.4 and 0.8, so the middle node grades 0.6
-    grades = _grades(_two_link_topology(), [LinkState(18.0), LinkState(6.0)])
+    grades = _grades(_two_link_topology(), LinkState(np.array([18.0, 6.0])))
     assert grades[1] == pytest.approx(0.6)
     assert grades[0] == pytest.approx(0.4)
 
 
 def test_build_kb_grade_extremes():
     topo = _two_link_topology()
-    assert _grades(topo, [LinkState(), LinkState()])[1] == 1.0
-    assert _grades(topo, [LinkState(30.0), LinkState(30.0)])[1] == 0.0
+    assert _grades(topo, LinkState())[1] == 1.0
+    assert _grades(topo, LinkState(30.0))[1] == 0.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -149,6 +150,73 @@ def test_build_kb_congested_exactly_below_threshold(n, seed, threshold):
     for rec in kb.records.values():
         if rec.priority <= 4:
             assert (rec.priority == 4) == (rec.grade < threshold)
+
+
+@st.composite
+def _graded_inputs(draw):
+    """A small hand-built topology (some nodes may have no links), link
+    states mixing idle, saturated and random loads, and a grading config."""
+    n = draw(st.integers(1, 9))
+    nodes = [Node(i, draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0)), _qos())
+             for i in range(n)]
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    links = []
+    for a, b in chosen:
+        if draw(st.booleans()):
+            a, b = b, a
+        links.append(Link(a, b, draw(st.sampled_from([30.0, 1.5])
+                                     | st.floats(0.5, 60.0))))
+    load = st.sampled_from([0.0, 30.0, 1e3]) | st.floats(0.0, 60.0)
+    t0 = np.array([draw(load) for _ in links])
+    gamma = np.array([draw(load) for _ in links])
+    mu = draw(st.sampled_from([1.0]) | st.floats(0.1, 5.0))
+    config = GradingConfig(
+        grade_time_s=draw(st.sampled_from([0.0, 0.37]) | st.floats(0.0, 5.0)),
+        flow_rate_mbps=draw(st.sampled_from([1.0]) | st.floats(0.25, 4.0)),
+        alpha=draw(st.floats(0.1, 8.0)),
+        congestion_threshold=draw(st.floats(0.0, 1.0)),
+        delay_multiplier=draw(st.floats(0.01, 10.0)),
+    )
+    return Topology(seed=0, nodes=nodes, links=links), LinkState(t0, gamma, mu), config
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graded_inputs(), st.integers(0, 2**32 - 1))
+def test_build_kb_matches_per_node_oracle(inputs, seed):
+    topo, states, config = inputs
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    kb = build_knowledge_base(topo, states, config, rng)
+    expected = grade_nodes_one_by_one(topo, states, config, oracle_rng)
+    assert kb.records == expected.records
+    assert list(kb.link_available_mbps.items()) == list(expected.link_available_mbps.items())
+    assert rng.random() == oracle_rng.random()
+    # plain Python values only, so reprs and JSON dumps do not depend on numpy
+    for rec in kb.records.values():
+        assert (type(rec.priority), type(rec.delay_s), type(rec.available_bw_mbps),
+                type(rec.grade)) == (int, float, float, float)
+    assert all(type(v) is float for v in kb.link_available_mbps.values())
+    assert all(type(a) is int and type(b) is int for a, b in kb.link_available_mbps)
+
+
+def test_build_kb_matches_per_node_oracle_on_generated_topologies():
+    for n, seed, grade_time in ((40, 7, 0.0), (64, 3, 0.37), (256, 11, 1.5)):
+        topo = generate_topology(n, 0.2, seed)
+        config = GradingConfig(grade_time_s=grade_time)
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        states = sample_link_states(len(topo.links), np.random.default_rng(seed + 1))
+        kb = build_knowledge_base(topo, states, config, rng)
+        expected = grade_nodes_one_by_one(topo, states, config, oracle_rng)
+        assert kb.records == expected.records
+        assert kb.link_available_mbps == expected.link_available_mbps
+        assert rng.random() == oracle_rng.random()
+
+
+def test_build_kb_rejects_misaligned_link_states():
+    topo = _two_link_topology()
+    with pytest.raises(ValueError, match="one-to-one"):
+        build_knowledge_base(topo, LinkState(np.zeros(3)), GradingConfig(),
+                             np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------- selection
@@ -247,7 +315,7 @@ def test_build_kb_idle_network_best_classes():
     # idle links, guaranteed resources, tiny arrival rate: only the delay
     # branch can demote a node, so priorities stay in {1, 2}
     topo = generate_topology(25, 0.25, 8)
-    idle = [LinkState(0.0, 0.0, 1.0) for _ in topo.links]
+    idle = LinkState(0.0, 0.0, 1.0)
     cfg = GradingConfig(resource_prob=1.0, alpha=1e-6, lifetime_threshold=1e-9)
     kb = build_knowledge_base(topo, idle, cfg, np.random.default_rng(1))
     assert set(kb.records) == set(range(topo.n))
@@ -258,15 +326,14 @@ def test_build_kb_idle_network_best_classes():
 def test_build_kb_zero_lifetime_all_dead():
     topo = generate_topology(20, 0.25, 8)
     cfg = GradingConfig(lifetime_scale=1e-12, lifetime_threshold=20.0)
-    kb = build_knowledge_base(topo, [LinkState() for _ in topo.links], cfg,
-                              np.random.default_rng(1))
+    kb = build_knowledge_base(topo, LinkState(), cfg, np.random.default_rng(1))
     assert all(rec.priority == 6 for rec in kb.records.values())
     assert select_feasible(topo, kb, "best-classes") == set()
 
 
 def test_build_kb_saturated_links_mark_delay():
     topo = generate_topology(20, 0.25, 8)
-    saturated = [LinkState(60.0, 0.0, 1.0) for _ in topo.links]
+    saturated = LinkState(60.0, 0.0, 1.0)
     cfg = GradingConfig(resource_prob=1.0, alpha=1e-6, lifetime_threshold=1e-9,
                         congestion_threshold=0.9)
     kb = build_knowledge_base(topo, saturated, cfg, np.random.default_rng(1))
@@ -278,8 +345,7 @@ def test_build_kb_saturated_links_mark_delay():
 
 def test_grade_dump_schema():
     topo = generate_topology(10, 0.3, 3)
-    kb = build_knowledge_base(topo, [LinkState() for _ in topo.links], GradingConfig(),
-                              np.random.default_rng(5))
+    kb = build_knowledge_base(topo, LinkState(), GradingConfig(), np.random.default_rng(5))
     rows = grade_dump(kb, "best-classes")
     assert len(rows) == 10
     assert [row["id"] for row in rows] == sorted(row["id"] for row in rows)

@@ -1,4 +1,5 @@
-"""Micro-benchmarks of the search hot path on one fixed n=256 trial.
+"""Micro-benchmarks of the search hot path on one fixed n=256 trial, and of
+grading one fixed n=1024 topology.
 
 The timings are informational (no thresholds); compare them across commits
 with ``pytest tests/test_microbench.py --benchmark-autosave`` and
@@ -9,8 +10,16 @@ import random
 
 import pytest
 
-from gradednet.bench import STREAM_ABC, prepare_trial, stream_py_rng, trial_seed
+from gradednet.bench import (
+    STREAM_ABC,
+    STREAM_GRADING,
+    prepare_trial,
+    stream_np_rng,
+    stream_py_rng,
+    trial_seed,
+)
 from gradednet.config import RunConfig
+from gradednet.grading import build_knowledge_base
 from gradednet.optimizers import (
     abc_search,
     neighbor_path,
@@ -18,6 +27,8 @@ from gradednet.optimizers import (
     path_is_valid,
     random_path,
 )
+from gradednet.topology import generate_topology
+from gradednet.traffic import sample_link_states
 
 CONFIG = RunConfig()
 N = 256
@@ -71,3 +82,22 @@ def test_bench_abc_search(benchmark, trial):
                        {"bw_threshold": CONFIG.bw_threshold_mbps}),
         rounds=3, iterations=1)
     assert result.found
+
+
+def test_bench_build_knowledge_base(benchmark):
+    # n=1024 has about 84k links; the topology's edge arrays are built before
+    # timing, as they are once per topology, so a round is one regrade
+    topology = generate_topology(1024, CONFIG.link_density, 11,
+                                 capacity_mbps=CONFIG.max_bandwidth_mbps)
+    assert topology.edges.degree.sum() == 2 * len(topology.links)
+
+    def inputs():
+        rng = stream_np_rng(11, STREAM_GRADING)
+        states = sample_link_states(len(topology.links), rng,
+                                    capacity_mbps=CONFIG.max_bandwidth_mbps,
+                                    flow_rate_mbps=CONFIG.flow_rate_mbps, mu=CONFIG.mu)
+        return (topology, states, CONFIG.grading_config(), rng), {}
+
+    kb = benchmark.pedantic(build_knowledge_base, setup=inputs, rounds=3, iterations=1)
+    assert len(kb.records) == topology.n
+    assert len(kb.link_available_mbps) == len(topology.links)
