@@ -12,6 +12,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .grading import KnowledgeBase
 from .topology import Topology
 
@@ -88,13 +90,23 @@ class RouteResult:
 
 
 class Subgraph:
-    """Adjacency restricted to the allowed candidate set (plus the source)."""
+    """Adjacency, in id order, restricted to the allowed candidate set (plus the source)."""
 
     def __init__(self, topology: Topology, allowed: frozenset[int]):
         self.topology = topology
         self.allowed = allowed
+        members = sorted(allowed)
+        if members and not (0 <= members[0] and members[-1] < topology.n):
+            raise ValueError(f"allowed nodes must be in 0..{topology.n - 1}")
+        inside = np.zeros(topology.n, dtype=bool)
+        inside[members] = True
+        edges = topology.edges
+        kept = inside[edges.node] & inside[edges.neighbor]
+        node, neighbors = edges.node[kept], edges.neighbor[kept].tolist()
+        first = np.searchsorted(node, members, "left").tolist()
+        last = np.searchsorted(node, members, "right").tolist()
         self.adj: dict[int, tuple[int, ...]] = {
-            v: tuple(sorted(topology.adjacency[v] & allowed)) for v in sorted(allowed)
+            v: tuple(neighbors[i:j]) for v, i, j in zip(members, first, last)
         }
 
     @classmethod
@@ -106,18 +118,13 @@ class Subgraph:
 
 
 def path_is_valid(path: PathNodes, subgraph: Subgraph, source: int, destination: int) -> bool:
-    """Check every path invariant: endpoints, simplicity, adjacency, membership."""
+    """Check every path invariant: endpoints, simplicity, adjacency (hence membership)."""
     if len(path) < 2 or path[0] != source or path[-1] != destination:
         return False
     if len(set(path)) != len(path):
         return False
-    for v in path:
-        if v not in subgraph.allowed:
-            return False
-    for u, v in zip(path, path[1:]):
-        if v not in subgraph.adj.get(u, ()):
-            return False
-    return True
+    adj = subgraph.adj
+    return all(v in adj.get(u, ()) for u, v in zip(path, path[1:]))
 
 
 def _walk(adj: dict[int, tuple[int, ...]], start: int, destination: int,
@@ -287,10 +294,6 @@ class _BestTracker:
         )
 
 
-def _empty_result() -> RouteResult:
-    return RouteResult(None, Fitness(0.0), 0, 0, (0.0,), None)
-
-
 def abc_search(subgraph: Subgraph, source: int, destination: int,
                cfg: AbcConfig, kb: KnowledgeBase, rng: random.Random, *,
                bw_threshold: float = 0.0,
@@ -310,7 +313,7 @@ def abc_search(subgraph: Subgraph, source: int, destination: int,
     if source == destination:
         raise ValueError("source and destination must differ")
     if destination not in subgraph.allowed:
-        return _empty_result()
+        return _BestTracker().result()
 
     topology = subgraph.topology
     colony = cfg.colony_size
@@ -336,7 +339,7 @@ def abc_search(subgraph: Subgraph, source: int, destination: int,
         sources.append(FoodSource(path, fit))
         best.offer(path, fit)
     if not sources:
-        return _empty_result()
+        return _BestTracker().result()
     best.record_cycle()  # cycle 0: state after initialization
 
     for _ in range(cfg.max_cycles):
@@ -391,7 +394,7 @@ def ga_search(subgraph: Subgraph, source: int, destination: int,
     if source == destination:
         raise ValueError("source and destination must differ")
     if destination not in subgraph.allowed:
-        return _empty_result()
+        return _BestTracker().result()
 
     topology = subgraph.topology
 
@@ -433,7 +436,7 @@ def ga_search(subgraph: Subgraph, source: int, destination: int,
         fitnesses.append(fit)
         best.offer(path, fit)
     if not population:
-        return _empty_result()
+        return _BestTracker().result()
     best.record_cycle()  # generation 0: initial population
 
     for _ in range(cfg.generations):
@@ -445,17 +448,10 @@ def ga_search(subgraph: Subgraph, source: int, destination: int,
             pa = population[ia]
             pb = population[roulette_select(weights, rng)]
             for child in modified_crossover(pa, pb, rng):
+                # Crossover and mutation keep every child a valid path; one
+                # below the bandwidth threshold is replaced by a scout path.
                 child = mutate(child)
-                # Infeasible offspring (malformed, or bottleneck below the
-                # bandwidth threshold) are repaired and, failing that,
-                # replaced by a fresh scout path.
-                valid = path_is_valid(child, subgraph, source, destination)
-                repairs = 0
-                while not valid and repairs < REPAIR_ATTEMPTS:
-                    child = _excise_loops(child)
-                    repairs += 1
-                    valid = path_is_valid(child, subgraph, source, destination)
-                fit = evaluate(child) if valid else None
+                fit = evaluate(child)
                 if fit is None:
                     # Replacement paths should themselves be feasible, else
                     # they get zero selection weight and never breed.

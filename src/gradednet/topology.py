@@ -14,7 +14,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -68,17 +67,11 @@ class Node:
 
 @dataclass
 class Link:
-    """Undirected link between two nodes; load states are sampled per grading."""
+    """Undirected link between two nodes; ``Topology`` checks it, grading samples its load."""
 
     a: int
     b: int
     capacity_mbps: float
-
-    def __post_init__(self) -> None:
-        if self.a == self.b:
-            raise ValueError(f"self-loop on node {self.a}")
-        if self.capacity_mbps <= 0:
-            raise ValueError("link capacity must be positive")
 
     def key(self) -> tuple[int, int]:
         return (self.a, self.b) if self.a < self.b else (self.b, self.a)
@@ -86,7 +79,7 @@ class Link:
 
 @dataclass(frozen=True, eq=False)
 class EdgeArrays:
-    """A topology's links as numpy arrays, the form grading computes on.
+    """A topology's links as numpy arrays, the form grading and ``Subgraph`` compute on.
 
     capacity_mbps: one entry per link, in ``Topology.links`` order
     keys:     each link's ``Link.key()``, in the same order
@@ -106,30 +99,51 @@ class EdgeArrays:
 
     @classmethod
     def of(cls, n: int, links: list[Link]) -> "EdgeArrays":
-        a = np.array([link.a for link in links], dtype=np.intp)
-        b = np.array([link.b for link in links], dtype=np.intp)
+        """Check ``links`` between nodes ``0..n-1`` and build their edge arrays.
+
+        The first link, in link order, that is a self-loop, has an endpoint
+        outside ``0..n-1``, a capacity not above 0 (NaN too), or repeats an
+        earlier link either way round is a ValueError naming its first fault.
+        """
+        a = np.array([link.a for link in links])  # dtype inferred: no int overflows
+        b = np.array([link.b for link in links])
         capacity = np.array([link.capacity_mbps for link in links], dtype=float)
-        node = np.concatenate((a, b))
-        neighbor = np.concatenate((b, a))
+        unknown = (a < 0) | (a >= n) | (b < 0) | (b >= n)
+        lo, hi = np.where(unknown, 0, np.sort([a, b], axis=0)).astype(np.int64)
+        repeated = np.ones(len(links), dtype=bool)
+        repeated[np.unique(lo * n + hi, return_index=True)[1]] = False  # first of each key
+        faults = ((a == b, "self-loop on node {a}"),
+                  (unknown, "link ({a}, {b}) references unknown node"),
+                  (~(capacity > 0), "link ({a}, {b}) capacity must be positive, got {capacity}"),
+                  (repeated, "duplicate link {key}"))
+        found = [(int(np.argmax(bad)), rank) for rank, (bad, _) in enumerate(faults) if bad.any()]
+        if found:
+            i, rank = min(found)
+            link = links[i]
+            raise ValueError(faults[rank][1].format(
+                a=link.a, b=link.b, capacity=link.capacity_mbps, key=link.key()))
+
+        node = np.concatenate((lo, hi))
+        neighbor = np.concatenate((hi, lo))
         order = np.argsort(node * n + neighbor)  # keys are unique: one per directed edge
         degree = np.bincount(node, minlength=n)
         return cls(
             capacity_mbps=capacity,
             keys=[link.key() for link in links],
-            node=node[order], neighbor=neighbor[order],
-            link=np.tile(np.arange(len(links), dtype=np.intp), 2)[order],
+            node=node[order].astype(np.int32), neighbor=neighbor[order].astype(np.int32),
+            link=np.tile(np.arange(len(links), dtype=np.int32), 2)[order],
             degree=degree, starts=np.cumsum(degree) - degree,
         )
 
 
 @dataclass
 class Topology:
-    """A generated network: nodes, undirected links, and derived adjacency."""
+    """A generated network: nodes, undirected links, and their edge arrays, built once."""
 
     seed: int
     nodes: list[Node]
     links: list[Link]
-    adjacency: dict[int, frozenset[int]] = field(init=False, repr=False)
+    edges: EdgeArrays = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ids = [node.id for node in self.nodes]
@@ -138,24 +152,11 @@ class Topology:
         for node in self.nodes:
             if not (0.0 <= node.x <= 1.0 and 0.0 <= node.y <= 1.0):
                 raise ValueError(f"node {node.id} position outside the unit square")
-        adj: dict[int, set[int]] = {i: set() for i in ids}
-        for link in self.links:
-            if link.a not in adj or link.b not in adj:
-                raise ValueError(f"link ({link.a}, {link.b}) references unknown node")
-            if link.b in adj[link.a]:
-                raise ValueError(f"duplicate link {link.key()}")
-            adj[link.a].add(link.b)
-            adj[link.b].add(link.a)
-        self.adjacency = {i: frozenset(members) for i, members in adj.items()}
+        self.edges = EdgeArrays.of(self.n, self.links)
 
     @property
     def n(self) -> int:
         return len(self.nodes)
-
-    @cached_property
-    def edges(self) -> EdgeArrays:
-        """The links as edge arrays, built on first use and kept for the topology's life."""
-        return EdgeArrays.of(self.n, self.links)
 
     def has_node(self, node: int) -> bool:
         return 0 <= node < len(self.nodes)
@@ -183,6 +184,7 @@ def generate_topology(n: int, link_density: float, seed: int, *,
     radius = math.sqrt(link_density / math.pi)
     diff = points[:, None, :] - points[None, :, :]
     dist2 = np.einsum("ijk,ijk->ij", diff, diff)
+    del diff  # n*n*2 floats, no longer needed
     within = dist2 <= radius * radius
     upper = np.triu(within, k=1)
     pairs = np.argwhere(upper)

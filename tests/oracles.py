@@ -3,8 +3,8 @@
 These deliberately avoid the code paths they verify: the ODE oracle
 integrates numerically instead of using the closed form, the path oracle
 enumerates exhaustively instead of searching, the balance oracle solves
-a small LP, and the grading oracle walks links and nodes one at a time in
-plain Python instead of computing on edge arrays.
+a small LP, and the adjacency and grading oracles walk links and nodes one
+at a time in plain Python instead of computing on edge arrays.
 """
 
 from __future__ import annotations
@@ -51,6 +51,15 @@ def rk4_load_grid(t0: np.ndarray, gamma: np.ndarray, mu: np.ndarray,
         times[i] = t
         loads[i] = y
     return times, loads
+
+
+def adjacency(topology) -> dict[int, set[int]]:
+    """Each node's neighbors, read from ``topology.links`` one link at a time."""
+    adj: dict[int, set[int]] = {v: set() for v in range(topology.n)}
+    for link in topology.links:
+        adj[link.a].add(link.b)
+        adj[link.b].add(link.a)
+    return adj
 
 
 def bfs_hops(subgraph, source: int, destination: int) -> int | None:
@@ -169,8 +178,9 @@ def grade_nodes_one_by_one(topology, link_states, config, rng):
     lifetimes = rng.uniform(0.0, config.lifetime_scale, n)
     resources = rng.random(n) < config.resource_prob
     densities = [0] * n
+    adj = adjacency(topology)
     for v in range(n):
-        nbrs = sorted(topology.adjacency[v])
+        nbrs = sorted(adj[v])
         if not nbrs:
             continue
         model = ArrivalModel(config.alpha, tuple(1.0 / len(nbrs) for _ in nbrs))
@@ -180,7 +190,7 @@ def grade_nodes_one_by_one(topology, link_states, config, rng):
 
     for v in range(n):
         frees, fracs, lams, caps = [], [], [], []
-        for other in sorted(topology.adjacency[v]):
+        for other in sorted(adj[v]):
             key = (v, other) if v < other else (other, v)
             flows, capacity = flows_capacity[key]
             frees.append(kb.link_available_mbps[key])

@@ -294,6 +294,35 @@ def test_topology_non_finite_number_exits_one(tmp_path, capsys, section, field, 
         assert err.startswith("error:") and f"{section}[0] field {field!r}" in err
 
 
+@pytest.mark.parametrize("fault, expected", [
+    pytest.param(lambda first: {**first, "b": first["a"]}, "self-loop", id="self-loop"),
+    pytest.param(lambda first: {**first, "a": -1}, "unknown node", id="endpoint-minus-1"),
+    pytest.param(lambda first: {**first, "b": 12}, "unknown node", id="endpoint-n"),
+    pytest.param(lambda first: {**first, "capacity_mbps": 0}, "capacity", id="capacity-0"),
+    pytest.param(lambda first: {**first, "capacity_mbps": -1.0}, "capacity",
+                 id="capacity-minus-1"),
+    pytest.param(lambda first: {**first, "capacity_mbps": float("nan")}, "capacity",
+                 id="capacity-nan"),
+    pytest.param(lambda first: [first, first], "duplicate", id="duplicate-same-direction"),
+    pytest.param(lambda first: [first, {**first, "a": first["b"], "b": first["a"]}],
+                 "duplicate", id="duplicate-reversed"),
+])
+def test_topology_faulty_link_exits_one(tmp_path, capsys, fault, expected):
+    # the first link is replaced by a faulty one, or by a link and its duplicate
+    _run(capsys, "generate", "--n", "12", "--seed", "3", "--out", str(tmp_path / "gen"))
+    doc = json.loads((tmp_path / "gen" / "topology.json").read_text())
+    replaced = fault(doc["links"][0])
+    doc["links"][:1] = replaced if isinstance(replaced, list) else [replaced]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    for command in (["grade"], ["route", "--source", "0", "--destination", "5"]):
+        code, _, err = _run(capsys, *command, "--topology", str(broken),
+                            "--out", str(tmp_path / "x"))
+        assert code == 1, command
+        assert err.startswith("error:") and expected in err, (command, err)
+    assert not (tmp_path / "x").exists()
+
+
 def test_run_config_from_older_run_still_loads(tmp_path, capsys):
     # refresh_period_s was a field of older releases; it is dropped on load
     cfg_path = tmp_path / "old_run_config.json"

@@ -85,8 +85,8 @@ def test_bench_abc_search(benchmark, trial):
 
 
 def test_bench_build_knowledge_base(benchmark):
-    # n=1024 has about 84k links; the topology's edge arrays are built before
-    # timing, as they are once per topology, so a round is one regrade
+    # n=1024 has about 84k links; the topology's edge arrays are built with
+    # it, before timing, so a round is one regrade
     topology = generate_topology(1024, CONFIG.link_density, 11,
                                  capacity_mbps=CONFIG.max_bandwidth_mbps)
     assert topology.edges.degree.sum() == 2 * len(topology.links)

@@ -26,7 +26,7 @@ from gradednet.optimizers import (
 )
 from gradednet.topology import Link, Node, QosInputs, Topology, generate_topology
 from gradednet.traffic import sample_link_states
-from oracles import bfs_hops, enumerate_best_bottleneck
+from oracles import adjacency, bfs_hops, enumerate_best_bottleneck
 
 
 def _topology(positions, links):
@@ -194,10 +194,40 @@ def test_path_fitness_rejects_malformed(case, data):
         path_fitness(path[:1], topo, kb, threshold)
     with pytest.raises(ValueError):
         path_fitness(path + (data.draw(st.sampled_from(path[:-1])),), topo, kb, threshold)
-    strangers = [v for v in range(topo.n) if v not in path and v not in topo.adjacency[path[-1]]]
+    linked = adjacency(topo)[path[-1]]
+    strangers = [v for v in range(topo.n) if v not in path and v not in linked]
     if strangers:
         with pytest.raises(ValueError):
             path_fitness(path + (data.draw(st.sampled_from(strangers)),), topo, kb, threshold)
+
+
+@st.composite
+def _topologies_and_allowed(draw):
+    # Random links, each in a random direction, and a random allowed set.
+    n = draw(st.integers(1, 12))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    links = [(b, a) if draw(st.booleans()) else (a, b) for a, b in chosen]
+    topo = _topology([((i + 0.5) / n, 0.5) for i in range(n)], links)
+    return topo, frozenset(draw(st.sets(st.integers(0, n - 1))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_topologies_and_allowed())
+def test_subgraph_is_link_adjacency_restricted_to_allowed(case):
+    topo, allowed = case
+    adj = adjacency(topo)
+    sub = Subgraph(topo, allowed)
+    assert list(sub.adj.items()) == [
+        (v, tuple(sorted(adj[v] & allowed))) for v in sorted(allowed)]
+    assert all(type(v) is int for nbrs in sub.adj.values() for v in nbrs)
+
+
+def test_subgraph_rejects_unknown_nodes():
+    topo = _line_topology()
+    for allowed in ({0, 3}, {-1, 1}):
+        with pytest.raises(ValueError):
+            Subgraph(topo, frozenset(allowed))
 
 
 # ---------------------------------------------------------------- roulette
@@ -379,6 +409,29 @@ def test_all_candidates_valid_during_search():
                    random.Random(seed), observer=check)
         ga_search(sub, 0, 15, GaConfig(population_size=6, generations=15), kb,
                   random.Random(seed), observer=check)
+
+
+@pytest.mark.parametrize("mutation_rate", [0.001, 0.3, 1.0])
+def test_ga_offspring_are_valid_paths(mutation_rate):
+    # crossover and mutation alone keep offspring valid; nothing repairs them
+    offspring = 0
+    for seed in range(12):
+        topo, kb, _ = _random_setup(seed, n=24, density=0.25)
+        pick = random.Random(seed)
+        sub = Subgraph.from_topology(topo, {v for v in range(1, 24) if pick.random() < 0.8}
+                                     | {23}, 0)
+        for threshold in (0.0, 4.5):
+
+            def check(kind, path, sub=sub):
+                nonlocal offspring
+                if kind == "offspring":
+                    assert path_is_valid(path, sub, 0, 23)
+                    offspring += 1
+
+            ga_search(sub, 0, 23, GaConfig(population_size=8, generations=12,
+                                           mutation_rate=mutation_rate),
+                      kb, random.Random(seed), bw_threshold=threshold, observer=check)
+    assert offspring > 1000
 
 
 def test_search_hop_count_bounded_by_bfs():

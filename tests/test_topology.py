@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -16,6 +17,7 @@ from gradednet.topology import (
     save_topology,
     topology_to_dict,
 )
+from oracles import adjacency
 
 
 def _manual_topology(positions, links, seed=0):
@@ -55,7 +57,8 @@ def test_generate_no_isolated_nodes():
     # sparse enough that isolates would appear without augmentation
     for seed in range(10):
         topo = generate_topology(40, 0.02, seed)
-        assert all(len(topo.adjacency[i]) >= 1 for i in range(topo.n))
+        adj = adjacency(topo)
+        assert all(len(adj[i]) >= 1 for i in range(topo.n))
 
 
 def test_generate_positions_in_unit_square():
@@ -65,10 +68,16 @@ def test_generate_positions_in_unit_square():
 
 
 def test_adjacency_symmetric():
+    # the edge arrays hold both directions of every link, sorted, each with its link
     topo = generate_topology(60, 0.15, 9)
-    for i in range(topo.n):
-        for j in topo.adjacency[i]:
-            assert i in topo.adjacency[j]
+    edges = topo.edges
+    pairs = list(zip(edges.node.tolist(), edges.neighbor.tolist()))
+    assert pairs == sorted(set(pairs))
+    assert set(pairs) == {(j, i) for i, j in pairs}
+    assert set(pairs) == {(i, j) for i, nbrs in adjacency(topo).items() for j in nbrs}
+    for (i, j), link in zip(pairs, edges.link.tolist()):
+        assert edges.keys[link] == topo.links[link].key() == (min(i, j), max(i, j))
+    assert edges.degree.tolist() == [len(adjacency(topo)[i]) for i in range(topo.n)]
 
 
 def test_quadrant_axis_rules():
@@ -136,6 +145,46 @@ def test_topology_invariant_validation():
         _manual_topology([(0.1, 0.1), (0.5, 0.5)], [(0, 1), (0, 1)])
     with pytest.raises(ValueError):
         _manual_topology([(0.1, 1.5)], [])
+
+
+_TRIANGLE = [(0.1, 0.1), (0.5, 0.5), (0.9, 0.2)]
+
+
+@pytest.mark.parametrize("bad, message", [
+    pytest.param((2, 2, 30.0), "self-loop on node 2", id="self-loop"),
+    pytest.param((-1, 2, 30.0), r"link \(-1, 2\) references unknown node", id="endpoint-minus-1"),
+    pytest.param((1, 3, 30.0), r"link \(1, 3\) references unknown node", id="endpoint-n"),
+    pytest.param((1, 2, 0.0), r"link \(1, 2\) capacity must be positive", id="capacity-0"),
+    pytest.param((1, 2, -1.0), r"link \(1, 2\) capacity must be positive", id="capacity-minus-1"),
+    pytest.param((1, 2, math.nan), r"link \(1, 2\) capacity must be positive", id="capacity-nan"),
+    pytest.param((0, 1, 30.0), r"duplicate link \(0, 1\)", id="duplicate-same-direction"),
+    pytest.param((1, 0, 30.0), r"duplicate link \(0, 1\)", id="duplicate-reversed"),
+])
+def test_topology_rejects_single_faulty_link(bad, message):
+    nodes = [Node(i, x, y, QosInputs(network_lifetime=50.0)) for i, (x, y) in enumerate(_TRIANGLE)]
+    good = [Link(0, 1, 30.0), Link(0, 2, 30.0)]
+    Topology(seed=0, nodes=nodes, links=good)
+    with pytest.raises(ValueError, match=message):
+        Topology(seed=0, nodes=nodes, links=good + [Link(*bad)])
+
+
+def test_topology_names_first_faulty_link_in_link_order():
+    # (2, 0) is the first repeat in link order; (1, 0) repeats the smallest key
+    with pytest.raises(ValueError, match=r"duplicate link \(0, 2\)"):
+        _manual_topology(_TRIANGLE, [(1, 2), (0, 2), (0, 1), (2, 0), (2, 1), (1, 0)])
+    # an earlier link's fault wins over a later link's, whatever the kinds
+    with pytest.raises(ValueError, match=r"duplicate link \(0, 1\)"):
+        _manual_topology(_TRIANGLE, [(0, 1), (1, 0), (2, 2), (0, 7)])
+    with pytest.raises(ValueError, match=r"link \(0, 10{30}\) references unknown node"):
+        _manual_topology(_TRIANGLE, [(0, 1), (0, 10 ** 30), (1, 1)])
+
+
+def test_equal_inputs_give_equal_topologies():
+    a, b = generate_topology(30, 0.2, 4), generate_topology(30, 0.2, 4)
+    assert a == b and a.edges is not b.edges
+    assert Topology(seed=a.seed, nodes=a.nodes, links=list(a.links)) == a
+    assert a != generate_topology(30, 0.2, 5)
+    assert repr(a) == repr(b) and "edges" not in repr(a)
 
 
 def test_json_round_trip_lossless(tmp_path):
