@@ -32,9 +32,14 @@ STREAM_ABC = 2
 STREAM_GA = 3
 STREAM_ENDPOINTS = 4
 
-CSV_FIELDS = ("n", "seed", "mode", "n_selected", "abc_hops", "ga_hops",
-              "abc_conv", "ga_conv", "abc_fit", "ga_fit",
-              "path_found_abc", "path_found_ga")
+# results.csv's columns, in order, with the type of each.  Floats are written
+# with repr, so they load back exactly, and bools as 0 or 1.
+CSV_FIELDS = {
+    "n": int, "seed": int, "mode": str, "n_selected": int,
+    "abc_hops": int, "ga_hops": int, "abc_conv": int, "ga_conv": int,
+    "abc_fit": float, "ga_fit": float,
+    "path_found_abc": bool, "path_found_ga": bool,
+}
 
 FITNESS_TIE_MBPS = 1e-9
 MIN_ENDPOINT_SEPARATION = 0.5
@@ -283,38 +288,26 @@ def summarize(rows: list[dict]) -> SuiteSummary:
     return summary
 
 
+def _csv_cell(kind: type, value):
+    return repr(value) if kind is float else int(value) if kind is bool else value
+
+
+def _csv_value(kind: type, cell: str):
+    return bool(int(cell)) if kind is bool else kind(cell)
+
+
 def write_records_csv(rows: list[dict], path: str | Path) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_FIELDS)
         for row in rows:
-            writer.writerow([
-                row["n"], row["seed"], row["mode"], row["n_selected"],
-                row["abc_hops"], row["ga_hops"], row["abc_conv"], row["ga_conv"],
-                repr(row["abc_fit"]), repr(row["ga_fit"]),
-                int(row["path_found_abc"]), int(row["path_found_ga"]),
-            ])
+            writer.writerow([_csv_cell(kind, row[name]) for name, kind in CSV_FIELDS.items()])
 
 
 def load_records_csv(path: str | Path) -> list[dict]:
-    rows = []
     with open(path, newline="") as handle:
-        for entry in csv.DictReader(handle):
-            rows.append({
-                "n": int(entry["n"]),
-                "seed": int(entry["seed"]),
-                "mode": entry["mode"],
-                "n_selected": int(entry["n_selected"]),
-                "abc_hops": int(entry["abc_hops"]),
-                "ga_hops": int(entry["ga_hops"]),
-                "abc_conv": int(entry["abc_conv"]),
-                "ga_conv": int(entry["ga_conv"]),
-                "abc_fit": float(entry["abc_fit"]),
-                "ga_fit": float(entry["ga_fit"]),
-                "path_found_abc": bool(int(entry["path_found_abc"])),
-                "path_found_ga": bool(int(entry["path_found_ga"])),
-            })
-    return rows
+        return [{name: _csv_value(kind, entry[name]) for name, kind in CSV_FIELDS.items()}
+                for entry in csv.DictReader(handle)]
 
 
 def summary_to_dict(summary: SuiteSummary) -> dict:

@@ -28,6 +28,9 @@ _POSITIVE_FIELDS = {
     "max_bandwidth_mbps": "link capacity",
     "flow_rate_mbps": "flow rate",
     "mu": "service rate",
+    "packet_size_bytes": "packet size",
+    "alpha": "arrival rate",
+    "arrival_horizon_s": "arrival horizon",
 }
 
 # Keys of older run_config.json files whose fields are gone; from_dict drops
@@ -98,6 +101,12 @@ class RunConfig:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} ({meaning}) must be positive, "
                                  f"got {getattr(self, name)!r}")
+        if self.grade_time_s < 0:
+            raise ValueError(f"grade_time_s must be >= 0, got {self.grade_time_s!r}")
+        if self.lifetime_scale < 0:
+            raise ValueError(f"lifetime_scale must be >= 0, got {self.lifetime_scale!r}")
+        if not 0.0 <= self.resource_prob <= 1.0:
+            raise ValueError(f"resource_prob must be in [0, 1], got {self.resource_prob!r}")
         if self.selection_mode not in SELECTION_MODES:
             raise ValueError(f"selection_mode must be one of {SELECTION_MODES}")
         if self.seeds_per_n < 1:

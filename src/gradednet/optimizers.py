@@ -4,6 +4,10 @@ Both searches share one solution encoding (a full simple path from source to
 destination) and one fitness (the path's bottleneck: the minimum available
 bandwidth over its links).  The subgraph they explore is the set of graded
 candidate nodes in the destination's quadrant, plus the source.
+
+Both run on one search core, ``_Search``, which scouts random paths,
+evaluates candidates, reports each one to the observer and tracks the best
+ever seen; the two differ only in their phase loops.
 """
 
 from __future__ import annotations
@@ -160,6 +164,15 @@ def random_path(subgraph: Subgraph, source: int, destination: int,
     return None
 
 
+def _regrow(adj: dict[int, tuple[int, ...]], path: PathNodes, cut: int,
+            randrange: Callable[[int], int]) -> PathNodes | None:
+    # Keep path[:cut + 1] and walk a new suffix to the same destination that
+    # avoids the kept prefix; None on a dead end.
+    prefix = path[:cut + 1]
+    tail = _walk(adj, path[cut], path[-1], set(prefix), randrange)
+    return None if tail is None else prefix + tail[1:]
+
+
 def neighbor_path(path: PathNodes, subgraph: Subgraph, rng: random.Random,
                   retries: int = REGROW_RETRIES) -> PathNodes:
     """Perturb a path: keep a random prefix, regrow the suffix to the destination.
@@ -169,13 +182,10 @@ def neighbor_path(path: PathNodes, subgraph: Subgraph, rng: random.Random,
     returned unchanged.
     """
     adj, randrange = subgraph.adj, rng.randrange
-    destination = path[-1]
     for _ in range(retries):
-        cut = randrange(len(path) - 1)
-        prefix = path[:cut + 1]
-        tail = _walk(adj, path[cut], destination, set(prefix), randrange)
-        if tail is not None:
-            return prefix + tail[1:]
+        regrown = _regrow(adj, path, randrange(len(path) - 1), randrange)
+        if regrown is not None:
+            return regrown
     return path
 
 
@@ -258,23 +268,57 @@ def _weight(fitness: Fitness | None) -> float:
     return max(_fitness_value(fitness), 0.0)
 
 
-class _BestTracker:
-    """Best-so-far across every accepted candidate; trace is nondecreasing."""
+class _Search:
+    """What ABC and GA share: the endpoints, scouting, evaluating a candidate,
+    reporting it to the observer, and the best candidate ever seen with its
+    per-cycle trace, which is nondecreasing."""
 
-    def __init__(self) -> None:
-        self.path: PathNodes | None = None
-        self.fitness: Fitness | None = None
+    def __init__(self, subgraph: Subgraph, source: int, destination: int,
+                 kb: KnowledgeBase, rng: random.Random, bw_threshold: float,
+                 observer: Observer | None) -> None:
+        if source == destination:
+            raise ValueError("source and destination must differ")
+        self.subgraph, self.source, self.destination = subgraph, source, destination
+        self.kb, self.rng, self.bw_threshold, self.observer = kb, rng, bw_threshold, observer
+        self.best_path: PathNodes | None = None
+        self.best_fitness: Fitness | None = None
         self.trace: list[float] = []
 
-    def offer(self, path: PathNodes | None, fitness: Fitness | None) -> None:
-        if path is None or fitness is None:
-            return
-        if self.fitness is None or fitness.bottleneck_bw > self.fitness.bottleneck_bw:
-            self.path = path
-            self.fitness = fitness
+    def scout(self) -> PathNodes | None:
+        return random_path(self.subgraph, self.source, self.destination, self.rng)
 
-    def record_cycle(self) -> None:
-        self.trace.append(self.fitness.bottleneck_bw if self.fitness else 0.0)
+    def evaluate(self, path: PathNodes) -> Fitness | None:
+        return path_fitness(path, self.subgraph.topology, self.kb, self.bw_threshold)
+
+    def report(self, kind: str, path: PathNodes, fitness: Fitness | None) -> None:
+        """Tell the observer about a candidate and keep it if it is the best yet."""
+        if self.observer is not None:
+            self.observer(kind, path)
+        if fitness is not None and (self.best_fitness is None
+                                    or fitness.bottleneck_bw > self.best_fitness.bottleneck_bw):
+            self.best_path, self.best_fitness = path, fitness
+
+    def step(self, kind: str, path: PathNodes) -> Fitness | None:
+        fitness = self.evaluate(path)
+        self.report(kind, path, fitness)
+        return fitness
+
+    def populate(self, size: int) -> list[tuple[PathNodes, Fitness | None]]:
+        """Up to ``size`` scouted paths with their fitness; empty when the
+        destination is unreachable.  A non-empty population is cycle 0."""
+        if self.destination not in self.subgraph.allowed:
+            return []
+        members = []
+        for _ in range(size):
+            path = self.scout()
+            if path is not None:
+                members.append((path, self.step("init", path)))
+        if members:
+            self.end_cycle()
+        return members
+
+    def end_cycle(self) -> None:
+        self.trace.append(self.best_fitness.bottleneck_bw if self.best_fitness else 0.0)
 
     def result(self) -> RouteResult:
         trace = tuple(self.trace) if self.trace else (0.0,)
@@ -282,12 +326,12 @@ class _BestTracker:
         convergence = next(i for i, v in enumerate(trace) if v == final)
         stagnation = next(
             (i for i in range(5, len(trace)) if trace[i] == trace[i - 5]), None)
-        if self.path is None:
+        if self.best_path is None:
             return RouteResult(None, Fitness(0.0), 0, convergence, trace, stagnation)
         return RouteResult(
-            best_path=self.path,
-            best_fitness=self.fitness,
-            hop_count=len(self.path) - 1,
+            best_path=self.best_path,
+            best_fitness=self.best_fitness,
+            hop_count=len(self.best_path) - 1,
             convergence_cycle=convergence,
             fitness_trace=trace,
             stagnation_cycle=stagnation,
@@ -310,49 +354,24 @@ def abc_search(subgraph: Subgraph, source: int, destination: int,
     the current nectar of every source, exactly as if the weights were
     rebuilt before each selection.
     """
-    if source == destination:
-        raise ValueError("source and destination must differ")
-    if destination not in subgraph.allowed:
-        return _BestTracker().result()
-
-    topology = subgraph.topology
+    search = _Search(subgraph, source, destination, kb, rng, bw_threshold, observer)
     colony = cfg.colony_size
     if colony is None:
         colony = max(2, len(subgraph.neighbors(source)))
     limit = cfg.limit if cfg.limit is not None else colony * 5
-
-    def evaluate(path: PathNodes) -> Fitness | None:
-        return path_fitness(path, topology, kb, bw_threshold)
-
-    def notify(kind: str, path: PathNodes | None) -> None:
-        if observer is not None and path is not None:
-            observer(kind, path)
-
-    best = _BestTracker()
-    sources: list[FoodSource] = []
-    for _ in range(colony):
-        path = random_path(subgraph, source, destination, rng)
-        notify("init", path)
-        if path is None:
-            continue
-        fit = evaluate(path)
-        sources.append(FoodSource(path, fit))
-        best.offer(path, fit)
+    sources = [FoodSource(path, fit) for path, fit in search.populate(colony)]
     if not sources:
-        return _BestTracker().result()
-    best.record_cycle()  # cycle 0: state after initialization
+        return search.result()
 
     for _ in range(cfg.max_cycles):
         # Employed phase: one perturbation per source, greedy acceptance.
         for src in sources:
             candidate = neighbor_path(src.path, subgraph, rng)
-            notify("employed", candidate)
-            fit = evaluate(candidate)
+            fit = search.step("employed", candidate)
             if _fitness_value(fit) > _fitness_value(src.fitness):
                 src.path, src.fitness, src.trials = candidate, fit, 0
             else:
                 src.trials += 1
-            best.offer(candidate, fit)
 
         # Onlooker phase: fitness-proportional reinforcement.  Only an
         # accepted candidate changes a weight, so weights stay current.
@@ -361,29 +380,24 @@ def abc_search(subgraph: Subgraph, source: int, destination: int,
             idx = roulette_select(weights, rng)
             chosen = sources[idx]
             candidate = neighbor_path(chosen.path, subgraph, rng)
-            notify("onlooker", candidate)
-            fit = evaluate(candidate)
+            fit = search.step("onlooker", candidate)
             if _fitness_value(fit) > _fitness_value(chosen.fitness):
                 chosen.path, chosen.fitness, chosen.trials = candidate, fit, 0
                 weights[idx] = _weight(fit)
             else:
                 chosen.trials += 1
-            best.offer(candidate, fit)
 
         # Scout phase: abandon exhausted sources.
         for src in sources:
             if src.trials >= limit:
-                fresh = random_path(subgraph, source, destination, rng)
-                notify("scout", fresh)
+                fresh = search.scout()
                 if fresh is not None:
-                    src.path = fresh
-                    src.fitness = evaluate(fresh)
-                    best.offer(fresh, src.fitness)
+                    src.path, src.fitness = fresh, search.step("scout", fresh)
                 src.trials = 0
 
-        best.record_cycle()
+        search.end_cycle()
 
-    return best.result()
+    return search.result()
 
 
 def ga_search(subgraph: Subgraph, source: int, destination: int,
@@ -391,20 +405,7 @@ def ga_search(subgraph: Subgraph, source: int, destination: int,
               bw_threshold: float = 0.0,
               observer: Observer | None = None) -> RouteResult:
     """Genetic search: roulette selection, shared-node crossover, suffix-regrow mutation."""
-    if source == destination:
-        raise ValueError("source and destination must differ")
-    if destination not in subgraph.allowed:
-        return _BestTracker().result()
-
-    topology = subgraph.topology
-
-    def evaluate(path: PathNodes) -> Fitness | None:
-        return path_fitness(path, topology, kb, bw_threshold)
-
-    def notify(kind: str, path: PathNodes | None) -> None:
-        if observer is not None and path is not None:
-            observer(kind, path)
-
+    search = _Search(subgraph, source, destination, kb, rng, bw_threshold, observer)
     adj, randrange = subgraph.adj, rng.randrange
 
     def mutate(path: PathNodes) -> PathNodes:
@@ -415,66 +416,42 @@ def ga_search(subgraph: Subgraph, source: int, destination: int,
             return path
         for i in range(1, len(path) - 1):
             if rng.random() < cfg.mutation_rate:
-                prefix = path[:i]
-                tail = _walk(adj, path[i - 1], destination, set(prefix), randrange)
-                if tail is not None:
-                    return prefix + tail[1:]
-                return path
+                return _regrow(adj, path, i - 1, randrange) or path
         return path
 
-    best = _BestTracker()
     # Each member's fitness is evaluated once, when it joins the population.
-    population: list[PathNodes] = []
-    fitnesses: list[Fitness | None] = []
-    for _ in range(cfg.population_size):
-        path = random_path(subgraph, source, destination, rng)
-        notify("init", path)
-        if path is None:
-            continue
-        fit = evaluate(path)
-        population.append(path)
-        fitnesses.append(fit)
-        best.offer(path, fit)
+    population = search.populate(cfg.population_size)
     if not population:
-        return _BestTracker().result()
-    best.record_cycle()  # generation 0: initial population
+        return search.result()
 
     for _ in range(cfg.generations):
-        weights = [_weight(f) for f in fitnesses]
-        offspring: list[PathNodes] = []
-        offspring_fitnesses: list[Fitness | None] = []
+        weights = [_weight(fit) for _, fit in population]
+        offspring: list[tuple[PathNodes, Fitness | None]] = []
         while len(offspring) < len(population):
-            ia = roulette_select(weights, rng)
-            pa = population[ia]
-            pb = population[roulette_select(weights, rng)]
+            pa, fa = population[roulette_select(weights, rng)]
+            pb, _ = population[roulette_select(weights, rng)]
             for child in modified_crossover(pa, pb, rng):
                 # Crossover and mutation keep every child a valid path; one
                 # below the bandwidth threshold is replaced by a scout path.
                 child = mutate(child)
-                fit = evaluate(child)
+                fit = search.evaluate(child)
                 if fit is None:
                     # Replacement paths should themselves be feasible, else
-                    # they get zero selection weight and never breed.
-                    replacement = None
+                    # they get zero selection weight and never breed.  With
+                    # no scout path at all, the first parent stands in.
+                    child, fit = pa, fa
                     for _ in range(REPAIR_ATTEMPTS):
-                        fresh = random_path(subgraph, source, destination, rng)
+                        fresh = search.scout()
                         if fresh is None:
                             break
-                        replacement = fresh
-                        fit = evaluate(fresh)
+                        child, fit = fresh, search.evaluate(fresh)
                         if fit is not None:
                             break
-                    if replacement is not None:
-                        child = replacement
-                    else:
-                        child, fit = pa, fitnesses[ia]
-                notify("offspring", child)
-                best.offer(child, fit)
-                offspring.append(child)
-                offspring_fitnesses.append(fit)
+                search.report("offspring", child, fit)
+                offspring.append((child, fit))
                 if len(offspring) >= len(population):
                     break
-        population, fitnesses = offspring, offspring_fitnesses
-        best.record_cycle()
+        population = offspring
+        search.end_cycle()
 
-    return best.result()
+    return search.result()

@@ -227,9 +227,13 @@ def test_bench_node_count_below_two_writes_nothing(tmp_path, capsys):
         assert code == 1, doc
         assert err.startswith("error:"), doc
         assert not out.exists(), doc
-    # so are the link and traffic rates, which only grading used to check
+    # so are the link and traffic rates, which only grading used to check,
+    # the packet size, which only the plot writer used to check, and the
+    # ranges of the grading draws
     for doc in ({"flow_rate_mbps": 0}, {"max_bandwidth_mbps": 0}, {"mu": 0},
-                {"mu": -1.5}, {"flow_rate_mbps": -2}):
+                {"mu": -1.5}, {"flow_rate_mbps": -2}, {"packet_size_bytes": 0},
+                {"alpha": 0}, {"arrival_horizon_s": 0}, {"grade_time_s": -1},
+                {"lifetime_scale": -5}, {"resource_prob": 2}, {"resource_prob": -0.5}):
         cfg_path.write_text(json.dumps(doc))
         for command in ("bench", "generate"):
             code, _, err = _run(capsys, command, "--config", str(cfg_path), "--out", str(out))

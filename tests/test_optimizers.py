@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradednet.bench import run_suite, run_trial, save_summary_json, trial_seed, write_records_csv
+from gradednet.bench import (
+    prepare_trial,
+    run_suite,
+    run_trial,
+    save_summary_json,
+    search,
+    trial_seed,
+    write_records_csv,
+)
 from gradednet.config import RunConfig
 from gradednet.grading import GradingConfig, KnowledgeBase, build_knowledge_base
 from gradednet.optimizers import (
@@ -462,6 +470,43 @@ def test_abc_matches_enumeration_on_small_graphs():
     assert hits / trials >= 0.95
 
 
+@st.composite
+def _searches(draw):
+    # A small seeded topology, a random threshold and one optimizer with a
+    # small random configuration.
+    n = draw(st.integers(4, 16))
+    topo, kb, sub = _random_setup(draw(st.integers(0, 10**6)), n=n,
+                                  density=draw(st.floats(0.2, 0.6)))
+    if draw(st.booleans()):
+        optimizer, cfg = abc_search, AbcConfig(colony_size=draw(st.integers(1, 6)),
+                                               max_cycles=draw(st.integers(1, 6)),
+                                               limit=draw(st.integers(1, 5)))
+    else:
+        optimizer, cfg = ga_search, GaConfig(
+            population_size=draw(st.integers(2, 6)), generations=draw(st.integers(1, 6)),
+            mutation_rate=draw(st.sampled_from([0.0, 0.001, 0.3, 1.0])))
+    threshold = draw(st.floats(0.0, 30.0))
+    return topo, kb, sub, optimizer, cfg, threshold, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_searches())
+def test_result_is_best_reported_candidate(case):
+    topo, kb, sub, optimizer, cfg, threshold, seed = case
+    reported = []
+    result = optimizer(sub, 0, topo.n - 1, cfg, kb, random.Random(seed),
+                       bw_threshold=threshold,
+                       observer=lambda kind, path: reported.append(path))
+    fits = {path: path_fitness(path, topo, kb, threshold) for path in reported}
+    passing = {path: fit for path, fit in fits.items() if fit is not None}
+    assert result.found == bool(passing)
+    if passing:
+        assert result.best_path in passing
+        assert result.best_fitness == passing[result.best_path]
+        assert result.best_fitness.bottleneck_bw == max(
+            fit.bottleneck_bw for fit in passing.values())
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         AbcConfig(max_cycles=0)
@@ -509,3 +554,28 @@ def test_suite_artifacts_pinned(tmp_path):
         "results.csv": "5163e7bb203d471cf176ca9caf4afc840df70d9d93c16defacf8046edc73a4f3",
         "summary.json": "290950be09cc2767406c4ae50181a819c80a2d7a620c8bc7a16e9b4f6ce2fbfb",
     }
+
+
+# sha256 of repr(events) for the PINNED_TRIALS, where events lists every
+# (algo, kind, path) that bench.search reports to its observer, ABC then GA.
+# The probes in perfbench/ and acceptance criterion 03 read this stream.
+PINNED_OBSERVER_STREAMS = {
+    (64, 1): "6df84fc701a681ac7ac40c3b49493b3712d127572dca2f409306e473dc3252eb",
+    (64, 2): "21e0608b41cc148fcf5b73c4c78659f77ce6dd3cc3420e53e8890f491c243508",
+    (64, 3): "dc04b84e4e0977434a0804a1ea3f17f5d4da49ff9f1d7b7ffd2c5a21e9db8e8c",
+    (64, 4): "a32bb90b98d08514b88b46a234edd14ba14b989213a47c2b419818c5272dd019",
+    (256, 21): "0257cc441df59a55ff6299d699a5483584c4f253c27017f0f2c2cb68d59f27db",
+    (256, 33): "e0998e9a24cf37cb6d446dab036d342cc04d9a9d8ff23981991601e4f8d2c27e",
+}
+
+
+@pytest.mark.parametrize("n, k", sorted(PINNED_OBSERVER_STREAMS))
+def test_observer_stream_pinned(n, k):
+    config, seed = RunConfig(), trial_seed(7, n, k)
+    trial = prepare_trial(n, seed, config)
+    events = []
+    for algo in ("abc", "ga"):
+        search(trial, algo, config, seed,
+               observer=lambda kind, path, algo=algo: events.append((algo, kind, path)))
+    digest = hashlib.sha256(repr(events).encode()).hexdigest()
+    assert digest == PINNED_OBSERVER_STREAMS[(n, k)]
