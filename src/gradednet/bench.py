@@ -15,7 +15,7 @@ import csv
 import json
 import random
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -117,26 +117,13 @@ class TrialRecord:
 
 
 @dataclass
-class NodeCountSummary:
-    n: int
-    trials: int
-    path_found_abc: float
-    path_found_ga: float
-    abc_median_hops: float | None
-    ga_median_hops: float | None
-    abc_median_conv: float | None
-    ga_median_conv: float | None
-    convergence_ratio: float | None
-
-
-@dataclass
 class SuiteSummary:
+    """A sweep's statistics, keyed as in summary.json: one entry per node
+    count, and the quality fractions over trials where both found a path."""
+
     mode: str
-    per_n: dict[int, NodeCountSummary] = field(default_factory=dict)
-    ga_better: float = 0.0
-    equal: float = 0.0
-    abc_better: float = 0.0
-    compared_trials: int = 0
+    per_n: dict[int, dict]
+    quality: dict
 
 
 @dataclass
@@ -219,17 +206,12 @@ def trial_seed(base_seed: int, n: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def run_suite(config: RunConfig, node_counts: tuple[int, ...] | None = None,
-              seeds_per_n: int | None = None) -> tuple[SuiteSummary, list[TrialRecord]]:
-    """Sweep node counts, aggregating over ``seeds_per_n`` replicates each."""
-    counts = tuple(node_counts) if node_counts is not None else config.node_counts
-    reps = seeds_per_n if seeds_per_n is not None else config.seeds_per_n
-    if reps < 1:
-        raise ValueError("seeds_per_n must be >= 1")
+def run_suite(config: RunConfig) -> tuple[SuiteSummary, list[TrialRecord]]:
+    """Sweep ``config.node_counts``, aggregating over ``seeds_per_n`` replicates each."""
     records = [
         run_trial(n, trial_seed(config.seed, n, k), config)
-        for n in counts
-        for k in range(reps)
+        for n in config.node_counts
+        for k in range(config.seeds_per_n)
     ]
     rows = [record.to_row() for record in records]
     return summarize(rows), records
@@ -253,39 +235,27 @@ def summarize(rows: list[dict]) -> SuiteSummary:
     """
     if not rows:
         raise ValueError("no rows to summarize")
-    mode = rows[0]["mode"]
-    summary = SuiteSummary(mode=mode)
-
+    per_n = {}
     for n in sorted({row["n"] for row in rows}):
         group = [row for row in rows if row["n"] == n]
-        abc_found = [row for row in group if row["path_found_abc"]]
-        ga_found = [row for row in group if row["path_found_ga"]]
-        abc_conv = _median([row["abc_conv"] for row in abc_found])
-        ga_conv = _median([row["ga_conv"] for row in ga_found])
-        ratio = None
-        if abc_conv is not None and ga_conv is not None:
-            ratio = convergence_ratio(abc_conv, ga_conv)
-        summary.per_n[n] = NodeCountSummary(
-            n=n,
-            trials=len(group),
-            path_found_abc=len(abc_found) / len(group),
-            path_found_ga=len(ga_found) / len(group),
-            abc_median_hops=_median([row["abc_hops"] for row in abc_found]),
-            ga_median_hops=_median([row["ga_hops"] for row in ga_found]),
-            abc_median_conv=abc_conv,
-            ga_median_conv=ga_conv,
-            convergence_ratio=ratio,
-        )
+        entry = per_n[n] = {"trials": len(group)}
+        for algo in ("abc", "ga"):
+            found = [row for row in group if row[f"path_found_{algo}"]]
+            entry[f"path_found_{algo}"] = len(found) / len(group)
+            entry[f"{algo}_median_hops"] = _median([row[f"{algo}_hops"] for row in found])
+            entry[f"{algo}_median_conv"] = _median([row[f"{algo}_conv"] for row in found])
+        abc_conv, ga_conv = entry["abc_median_conv"], entry["ga_median_conv"]
+        entry["convergence_ratio"] = (None if abc_conv is None or ga_conv is None
+                                      else convergence_ratio(abc_conv, ga_conv))
 
     both = [row for row in rows if row["path_found_abc"] and row["path_found_ga"]]
-    summary.compared_trials = len(both)
-    if both:
-        ga_better = sum(1 for r in both if r["ga_fit"] > r["abc_fit"] + FITNESS_TIE_MBPS)
-        abc_better = sum(1 for r in both if r["abc_fit"] > r["ga_fit"] + FITNESS_TIE_MBPS)
-        summary.ga_better = ga_better / len(both)
-        summary.abc_better = abc_better / len(both)
-        summary.equal = (len(both) - ga_better - abc_better) / len(both)
-    return summary
+    ga_better = sum(1 for r in both if r["ga_fit"] > r["abc_fit"] + FITNESS_TIE_MBPS)
+    abc_better = sum(1 for r in both if r["abc_fit"] > r["ga_fit"] + FITNESS_TIE_MBPS)
+    shares = {"ga_better": ga_better, "abc_better": abc_better,
+              "equal": len(both) - ga_better - abc_better}
+    quality = {name: count / len(both) if both else 0.0 for name, count in shares.items()}
+    quality["compared_trials"] = len(both)
+    return SuiteSummary(rows[0]["mode"], per_n, quality)
 
 
 def _csv_cell(kind: type, value):
@@ -311,28 +281,8 @@ def load_records_csv(path: str | Path) -> list[dict]:
 
 
 def summary_to_dict(summary: SuiteSummary) -> dict:
-    return {
-        "mode": summary.mode,
-        "quality": {
-            "ga_better": summary.ga_better,
-            "equal": summary.equal,
-            "abc_better": summary.abc_better,
-            "compared_trials": summary.compared_trials,
-        },
-        "per_n": {
-            str(n): {
-                "trials": s.trials,
-                "path_found_abc": s.path_found_abc,
-                "path_found_ga": s.path_found_ga,
-                "abc_median_hops": s.abc_median_hops,
-                "ga_median_hops": s.ga_median_hops,
-                "abc_median_conv": s.abc_median_conv,
-                "ga_median_conv": s.ga_median_conv,
-                "convergence_ratio": s.convergence_ratio,
-            }
-            for n, s in sorted(summary.per_n.items())
-        },
-    }
+    return {"mode": summary.mode, "quality": summary.quality,
+            "per_n": {str(n): entry for n, entry in sorted(summary.per_n.items())}}
 
 
 def save_summary_json(summary: SuiteSummary, path: str | Path) -> None:

@@ -21,7 +21,6 @@ from .bench import (
     run_suite,
     save_summary_json,
     search,
-    summary_to_dict,
     write_plot_csv,
     write_records_csv,
 )
@@ -40,6 +39,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _node_counts(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,7 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run the node-count sweep benchmark")
     add_shared(p_bench)
-    p_bench.add_argument("--node-counts", help="comma-separated node counts")
+    p_bench.add_argument("--node-counts", type=_node_counts,
+                         help="comma-separated node counts")
     p_bench.add_argument("--seeds-per-n", type=int, help="replicates per node count")
     p_bench.add_argument("--density", type=float, help="link density in (0, 1]")
 
@@ -93,7 +101,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "mode", None) is not None:
         overrides["selection_mode"] = args.mode
     if getattr(args, "node_counts", None) is not None:
-        overrides["node_counts"] = tuple(int(v) for v in args.node_counts.split(","))
+        overrides["node_counts"] = args.node_counts
     if getattr(args, "seeds_per_n", None) is not None:
         overrides["seeds_per_n"] = args.seeds_per_n
     return config.replace(**overrides)
@@ -161,6 +169,8 @@ def cmd_route(config: RunConfig, topology_path: str, source: int,
         raise _UsageError(f"node ids must be in 0..{topology.n - 1}")
     if source == destination:
         raise _UsageError("source and destination must differ")
+    if topology.nodes[source].position == topology.nodes[destination].position:
+        raise _UsageError("destination is at the source's position; its quadrant is undefined")
 
     out = _prepare_out(config)
     kb = grade_topology(topology, config, config.seed)
@@ -212,14 +222,13 @@ def cmd_bench(config: RunConfig) -> int:
 
     print(f"{'n':>6} {'trials':>7} {'found%':>7} {'abc hops':>9} {'ga hops':>8} "
           f"{'abc conv':>9} {'ga conv':>8} {'ratio':>7}")
-    doc = summary_to_dict(summary)
-    for n_key, s in doc["per_n"].items():
+    for n, s in sorted(summary.per_n.items()):
         found = (s["path_found_abc"] + s["path_found_ga"]) / 2
-        print(f"{n_key:>6} {s['trials']:>7} {found * 100:>6.0f}% "
+        print(f"{n:>6} {s['trials']:>7} {found * 100:>6.0f}% "
               f"{_fmt(s['abc_median_hops']):>9} {_fmt(s['ga_median_hops']):>8} "
               f"{_fmt(s['abc_median_conv']):>9} {_fmt(s['ga_median_conv']):>8} "
               f"{_fmt(s['convergence_ratio'], '.2f'):>7}")
-    q = doc["quality"]
+    q = summary.quality
     print(f"quality over {q['compared_trials']} compared trials: "
           f"abc_better={q['abc_better']:.2f} equal={q['equal']:.2f} ga_better={q['ga_better']:.2f}")
     print(f"wrote {out / 'results.csv'}, {out / 'summary.json'}, plot data")

@@ -1,4 +1,9 @@
-"""Run configuration: one flat, serializable document shared by all commands."""
+"""Run configuration: one flat, serializable document shared by all commands.
+
+Each stage config (grading, ABC, GA) is cut from ``RunConfig`` by field name
+and checks its own fields; ``RunConfig`` checks the rest and builds all three
+when it is built, so a bad value fails before any output is written.
+"""
 
 from __future__ import annotations
 
@@ -9,29 +14,23 @@ from pathlib import Path
 
 from .grading import SELECTION_MODES, GradingConfig
 from .optimizers import AbcConfig, GaConfig
-from .topology import is_finite
+from .topology import check_json_value
 
 DEFAULT_NODE_COUNTS = (15, 16, 32, 64, 128, 256, 512, 1024)
 
-# Accepted value types per field annotation; bool is rejected wherever an
-# int is accepted, although Python counts it as one.
-_ACCEPTED_TYPES = {
-    "int": (int,),
-    "int | None": (int, type(None)),
-    "float": (int, float),
-    "str": (str,),
-}
+# The JSON kind of each scalar field annotation; "int | None" also takes null.
+_KINDS = {"int": int, "int | None": int, "float": float, "str": str}
 
-# Fields that must be positive, with what each one is; the check runs when
-# the config is built, so a bad value fails before any output is written.
+# Fields that must be positive and that no stage config checks, with what
+# each one is.
 _POSITIVE_FIELDS = {
     "max_bandwidth_mbps": "link capacity",
-    "flow_rate_mbps": "flow rate",
     "mu": "service rate",
     "packet_size_bytes": "packet size",
-    "alpha": "arrival rate",
-    "arrival_horizon_s": "arrival horizon",
 }
+
+# The RunConfig field a stage-config field is cut from, where the names differ.
+_RENAMED = {"limit": "abc_limit"}
 
 # Keys of older run_config.json files whose fields are gone; from_dict drops
 # them so those files still load.
@@ -69,8 +68,8 @@ class RunConfig:
     selection_mode: str = "best-classes"
 
     # A large colony exhausts the pruned quadrant subgraph within the first
-    # few cycles; None derives the size from the source's neighborhood.
-    colony_size: int | None = 100
+    # few cycles.
+    colony_size: int = 100
     max_cycles: int = 30
     abc_limit: int | None = None
     population_size: int = 15
@@ -82,17 +81,16 @@ class RunConfig:
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            accepted = _ACCEPTED_TYPES.get(f.type)
-            if accepted and (isinstance(value, bool) or not isinstance(value, accepted)):
-                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
-            if f.type == "float" and not is_finite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+            if f.type in _KINDS and not (value is None and f.type.endswith("None")):
+                check_json_value(value, _KINDS[f.type], f.name)
         if not isinstance(self.node_counts, (list, tuple)) or not all(
                 isinstance(v, int) and not isinstance(v, bool) for v in self.node_counts):
             raise ValueError(f"node_counts must be a list of ints, got {self.node_counts!r}")
         self.node_counts = tuple(self.node_counts)
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
+        if not self.node_counts:
+            raise ValueError("node_counts must not be empty")
         if any(v < 2 for v in self.node_counts):
             raise ValueError(f"node_counts entries must be >= 2, got {list(self.node_counts)}")
         if not 0.0 < self.link_density <= 1.0:
@@ -101,41 +99,26 @@ class RunConfig:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} ({meaning}) must be positive, "
                                  f"got {getattr(self, name)!r}")
-        if self.grade_time_s < 0:
-            raise ValueError(f"grade_time_s must be >= 0, got {self.grade_time_s!r}")
-        if self.lifetime_scale < 0:
-            raise ValueError(f"lifetime_scale must be >= 0, got {self.lifetime_scale!r}")
-        if not 0.0 <= self.resource_prob <= 1.0:
-            raise ValueError(f"resource_prob must be in [0, 1], got {self.resource_prob!r}")
         if self.selection_mode not in SELECTION_MODES:
             raise ValueError(f"selection_mode must be one of {SELECTION_MODES}")
         if self.seeds_per_n < 1:
             raise ValueError("seeds_per_n must be >= 1")
+        self.grading_config()
         self.abc_config()
         self.ga_config()
 
+    def _cut(self, stage: type):
+        return stage(**{f.name: getattr(self, _RENAMED.get(f.name, f.name))
+                        for f in dataclasses.fields(stage)})
+
     def abc_config(self) -> AbcConfig:
-        return AbcConfig(colony_size=self.colony_size, max_cycles=self.max_cycles,
-                         limit=self.abc_limit)
+        return self._cut(AbcConfig)
 
     def ga_config(self) -> GaConfig:
-        return GaConfig(population_size=self.population_size,
-                        generations=self.generations,
-                        mutation_rate=self.mutation_rate)
+        return self._cut(GaConfig)
 
     def grading_config(self) -> GradingConfig:
-        return GradingConfig(
-            density_threshold=self.density_threshold,
-            lifetime_threshold=self.lifetime_threshold,
-            lifetime_scale=self.lifetime_scale,
-            resource_prob=self.resource_prob,
-            congestion_threshold=self.congestion_threshold,
-            delay_multiplier=self.delay_multiplier,
-            alpha=self.alpha,
-            arrival_horizon_s=self.arrival_horizon_s,
-            flow_rate_mbps=self.flow_rate_mbps,
-            grade_time_s=self.grade_time_s,
-        )
+        return self._cut(GradingConfig)
 
     def to_dict(self) -> dict:
         doc = dataclasses.asdict(self)

@@ -60,7 +60,8 @@ class KnowledgeBase:
 
 @dataclass
 class GradingConfig:
-    """Thresholds and sampling parameters for knowledge-base construction."""
+    """Thresholds and sampling parameters for knowledge-base construction;
+    the rates and the ranges of the grading draws are checked when it is built."""
 
     density_threshold: int = 5
     lifetime_threshold: float = 20.0
@@ -72,6 +73,19 @@ class GradingConfig:
     arrival_horizon_s: float = 1.0
     flow_rate_mbps: float = 1.0
     grade_time_s: float = 0.0
+
+    def __post_init__(self) -> None:
+        for name, meaning in (("alpha", "arrival rate"), ("arrival_horizon_s", "arrival horizon"),
+                              ("flow_rate_mbps", "flow rate")):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} ({meaning}) must be positive, "
+                                 f"got {getattr(self, name)!r}")
+        if self.grade_time_s < 0:
+            raise ValueError(f"grade_time_s must be >= 0, got {self.grade_time_s!r}")
+        if self.lifetime_scale < 0:
+            raise ValueError(f"lifetime_scale must be >= 0, got {self.lifetime_scale!r}")
+        if not 0.0 <= self.resource_prob <= 1.0:
+            raise ValueError(f"resource_prob must be in [0, 1], got {self.resource_prob!r}")
 
 
 def level1_priority(q: QosInputs, congested: bool, delayed: bool,
@@ -241,10 +255,6 @@ def build_knowledge_base(topology: Topology,
     for column in (link_states.t0, link_states.gamma):
         if np.ndim(column) and np.shape(column) != capacity.shape:
             raise ValueError("link_states must match topology.links one-to-one")
-    if config.alpha <= 0:
-        raise ValueError(f"arrival rate alpha must be positive, got {config.alpha}")
-    if config.arrival_horizon_s <= 0:
-        raise ValueError(f"horizon must be positive, got {config.arrival_horizon_s}")
 
     # Per-link snapshot at the grading instant: free bandwidth, and the flow
     # count and channel capacity the delay model needs.

@@ -38,18 +38,16 @@ class Fitness:
 
 @dataclass
 class AbcConfig:
-    """Colony controls.  colony_size=None derives the onlooker count from the
-    source's neighborhood inside the subgraph (floor 2); limit=None defaults
-    to 5x the colony size."""
+    """Colony controls.  limit=None defaults to 5x the colony size."""
 
-    colony_size: int | None = None
+    colony_size: int = 100
     max_cycles: int = 30
     limit: int | float | None = None
 
     def __post_init__(self) -> None:
         if self.max_cycles < 1:
             raise ValueError("max_cycles must be >= 1")
-        if self.colony_size is not None and self.colony_size < 1:
+        if self.colony_size < 1:
             raise ValueError("colony_size must be >= 1")
         if self.limit is not None and self.limit < 1:
             raise ValueError("limit must be >= 1")
@@ -148,16 +146,16 @@ def _walk(adj: dict[int, tuple[int, ...]], start: int, destination: int,
 
 
 def random_path(subgraph: Subgraph, source: int, destination: int,
-                rng: random.Random, restarts: int = WALK_RESTARTS) -> PathNodes | None:
+                rng: random.Random) -> PathNodes | None:
     """Scout move: seeded random walks until one reaches the destination.
 
-    Returns None after ``restarts`` dead ends; absence of a path is a value,
-    not an error.
+    Returns None after ``WALK_RESTARTS`` dead ends; absence of a path is a
+    value, not an error.
     """
     if source not in subgraph.allowed or destination not in subgraph.allowed:
         return None
     adj, randrange = subgraph.adj, rng.randrange
-    for _ in range(restarts):
+    for _ in range(WALK_RESTARTS):
         found = _walk(adj, source, destination, {source}, randrange)
         if found is not None:
             return found
@@ -173,16 +171,15 @@ def _regrow(adj: dict[int, tuple[int, ...]], path: PathNodes, cut: int,
     return None if tail is None else prefix + tail[1:]
 
 
-def neighbor_path(path: PathNodes, subgraph: Subgraph, rng: random.Random,
-                  retries: int = REGROW_RETRIES) -> PathNodes:
+def neighbor_path(path: PathNodes, subgraph: Subgraph, rng: random.Random) -> PathNodes:
     """Perturb a path: keep a random prefix, regrow the suffix to the destination.
 
     The cut point is any node except the destination; the regrown suffix
-    avoids the kept prefix.  If no regrowth succeeds the original path is
-    returned unchanged.
+    avoids the kept prefix.  If none of ``REGROW_RETRIES`` regrowths succeeds
+    the original path is returned unchanged.
     """
     adj, randrange = subgraph.adj, rng.randrange
-    for _ in range(retries):
+    for _ in range(REGROW_RETRIES):
         regrown = _regrow(adj, path, randrange(len(path) - 1), randrange)
         if regrown is not None:
             return regrown
@@ -356,8 +353,6 @@ def abc_search(subgraph: Subgraph, source: int, destination: int,
     """
     search = _Search(subgraph, source, destination, kb, rng, bw_threshold, observer)
     colony = cfg.colony_size
-    if colony is None:
-        colony = max(2, len(subgraph.neighbors(source)))
     limit = cfg.limit if cfg.limit is not None else colony * 5
     sources = [FoodSource(path, fit) for path, fit in search.populate(colony)]
     if not sources:

@@ -290,7 +290,17 @@ def is_finite(value: int | float) -> bool:
 
 # Accepted JSON value types per field kind; bool is rejected wherever a
 # number is accepted, although Python counts it as one.
-_ACCEPTED_TYPES = {bool: (bool,), int: (int,), float: (int, float), list: (list,)}
+_ACCEPTED_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), list: (list,)}
+
+
+def check_json_value(value, kind: type, what: str) -> None:
+    """The JSON value-type rule of topology and config files: bool is not a
+    number, a float field takes an int or a float, and a float must be finite."""
+    if (isinstance(value, bool) and kind is not bool) or not isinstance(
+            value, _ACCEPTED_TYPES[kind]):
+        raise ValueError(f"{what} must be {kind.__name__}, got {value!r}")
+    if kind is float and not is_finite(value):
+        raise ValueError(f"{what} must be finite, got {value!r}")
 
 
 def _field(entry: dict, name: str, kind: type, where: str):
@@ -300,11 +310,7 @@ def _field(entry: dict, name: str, kind: type, where: str):
         raise ValueError(f"{where} lacks field {name!r}") from None
     except TypeError:
         raise ValueError(f"{where} must be a JSON object") from None
-    if (isinstance(value, bool) and kind is not bool) or not isinstance(
-            value, _ACCEPTED_TYPES[kind]):
-        raise ValueError(f"{where} field {name!r} must be {kind.__name__}, got {value!r}")
-    if kind is float and not is_finite(value):
-        raise ValueError(f"{where} field {name!r} must be finite, got {value!r}")
+    check_json_value(value, kind, f"{where} field {name!r}")
     return float(value) if kind is float else value
 
 

@@ -51,17 +51,18 @@ def test_endpoints_separated():
 
 
 def test_suite_counts_and_fractions():
-    summary, records = run_suite(FAST, node_counts=(15, 16), seeds_per_n=3)
+    summary, records = run_suite(FAST.replace(node_counts=(15, 16), seeds_per_n=3))
     assert len(records) == 6
     assert set(summary.per_n) == {15, 16}
-    assert summary.per_n[15].trials == 3
-    total = summary.ga_better + summary.equal + summary.abc_better
-    if summary.compared_trials:
+    assert summary.per_n[15]["trials"] == 3
+    quality = summary.quality
+    total = quality["ga_better"] + quality["equal"] + quality["abc_better"]
+    if quality["compared_trials"]:
         assert total == pytest.approx(1.0)
 
 
 def test_suite_order_independent():
-    summary, records = run_suite(FAST, node_counts=(15, 16), seeds_per_n=3)
+    summary, records = run_suite(FAST.replace(node_counts=(15, 16), seeds_per_n=3))
     rows = [r.to_row() for r in records]
     shuffled = list(rows)
     random.Random(0).shuffle(shuffled)
@@ -86,7 +87,7 @@ def test_convergence_ratio_cases():
 
 
 def test_csv_round_trip(tmp_path):
-    summary, records = run_suite(FAST, node_counts=(15,), seeds_per_n=4)
+    summary, records = run_suite(FAST.replace(node_counts=(15,), seeds_per_n=4))
     rows = [r.to_row() for r in records]
     path = tmp_path / "results.csv"
     write_records_csv(rows, path)
@@ -99,7 +100,7 @@ def test_csv_round_trip(tmp_path):
 
 
 def test_summary_json_shape():
-    summary, _ = run_suite(FAST, node_counts=(15,), seeds_per_n=2)
+    summary, _ = run_suite(FAST.replace(node_counts=(15,), seeds_per_n=2))
     doc = summary_to_dict(summary)
     assert set(doc) == {"mode", "quality", "per_n"}
     assert set(doc["per_n"]["15"]) == {

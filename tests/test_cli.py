@@ -113,6 +113,20 @@ def test_route_no_path_is_success(tmp_path, capsys):
     assert "path not available" in stdout
 
 
+def test_route_destination_at_source_position_writes_nothing(tmp_path, capsys):
+    node = {"x": 0.5, "y": 0.5, "lifetime": 90.0, "density": 0, "resource": True}
+    topology = {"seed": 1, "nodes": [dict(node, id=0), dict(node, id=1)],
+                "links": [{"a": 0, "b": 1, "capacity_mbps": 30.0}]}
+    path = tmp_path / "topology.json"
+    path.write_text(json.dumps(topology))
+    out = tmp_path / "route"
+    code, _, err = _run(capsys, "route", "--topology", str(path), "--source", "0",
+                        "--destination", "1", "--out", str(out))
+    assert code == 1
+    assert err.startswith("error:") and "position" in err
+    assert not out.exists()
+
+
 def test_bench_sweep(tmp_path, capsys):
     out = tmp_path / "bench"
     code, stdout, _ = _run(capsys, "bench", "--node-counts", "15,16",
@@ -125,6 +139,20 @@ def test_bench_sweep(tmp_path, capsys):
     assert (out / "plot_traffic_intensity.csv").exists()
     assert (out / "plot_throughput.csv").exists()
     assert "quality over" in stdout
+
+
+# sha256 of the stdout table of `bench --node-counts 32,64,128 --seeds-per-n 4
+# --seed 3`: every line but the final "wrote ...", which names the output paths.
+BENCH_TABLE_SHA256 = "830d044f4e8aa13a20286ac1fdbeafee2dec84f35b192362751e077df4c2099d"
+
+
+def test_bench_stdout_table_pinned(tmp_path, capsys):
+    code, stdout, _ = _run(capsys, "bench", "--node-counts", "32,64,128", "--seeds-per-n", "4",
+                           "--seed", "3", "--out", str(tmp_path / "bench"))
+    assert code == 0
+    lines = stdout.splitlines(keepends=True)
+    assert lines[-1].startswith("wrote ")
+    assert hashlib.sha256("".join(lines[:-1]).encode()).hexdigest() == BENCH_TABLE_SHA256
 
 
 def test_bench_rerun_identical(tmp_path, capsys):
@@ -176,7 +204,7 @@ def test_topology_missing_node_field_exits_one(tmp_path, capsys):
 
 def test_config_field_of_wrong_type_exits_one(tmp_path, capsys):
     for doc in ({"n": "abc"}, {"link_density": True}, {"colony_size": 2.5},
-                {"node_counts": 64}, [1, 2]):
+                {"colony_size": None}, {"node_counts": 64}, [1, 2]):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(doc))
         code, _, err = _run(capsys, "generate", "--config", str(cfg_path),
@@ -218,8 +246,17 @@ def test_bench_node_count_below_two_writes_nothing(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error:") and "node_counts" in err
     assert not out.exists()
-    # search settings are checked when the config is built, before any output
+    # so is an empty sweep, and a list that does not parse names its flag
     cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"node_counts": []}))
+    code, _, err = _run(capsys, "bench", "--config", str(cfg_path), "--out", str(out))
+    assert code == 1
+    assert err.startswith("error:") and "node_counts" in err
+    assert not out.exists()
+    code, _, err = _run(capsys, "bench", "--node-counts", "64,", "--out", str(out))
+    assert code == 1 and "--node-counts" in err
+    assert not out.exists()
+    # search settings are checked when the config is built, before any output
     for doc in ({"colony_size": 0}, {"max_cycles": 0}, {"population_size": 1},
                 {"abc_limit": 0}, {"mutation_rate": 2}):
         cfg_path.write_text(json.dumps(doc))

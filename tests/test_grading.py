@@ -199,6 +199,16 @@ def test_build_kb_matches_per_node_oracle(inputs, seed):
     assert all(type(a) is int and type(b) is int for a, b in kb.link_available_mbps)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("alpha", 0.0), ("arrival_horizon_s", 0.0), ("flow_rate_mbps", -2.0),
+    ("grade_time_s", -1.0), ("lifetime_scale", -5.0), ("resource_prob", 2.0),
+    ("resource_prob", -0.5),
+])
+def test_grading_config_rejects_out_of_range_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        GradingConfig(**{field: value})
+
+
 def test_build_kb_matches_per_node_oracle_on_generated_topologies():
     for n, seed, grade_time in ((40, 7, 0.0), (64, 3, 0.37), (256, 11, 1.5)):
         topo = generate_topology(n, 0.2, seed)

@@ -544,7 +544,7 @@ def test_trial_results_pinned(n, k):
 
 def test_suite_artifacts_pinned(tmp_path):
     # Eight trials, three of them with a route.
-    summary, records = run_suite(RunConfig(seed=1), node_counts=(32, 64), seeds_per_n=4)
+    summary, records = run_suite(RunConfig(seed=1, node_counts=(32, 64), seeds_per_n=4))
     assert sum(record.abc.found for record in records) == 3
     write_records_csv([record.to_row() for record in records], tmp_path / "results.csv")
     save_summary_json(summary, tmp_path / "summary.json")
