@@ -154,11 +154,13 @@ def grade_topology(topology: Topology, config: RunConfig, seed: int) -> Knowledg
 
 
 def prune(topology: Topology, kb: KnowledgeBase, source: int, destination: int,
-          mode: str) -> tuple[set[int], Subgraph]:
-    """Nodes kept by grading, and the subgraph of those in the destination's quadrant."""
+          mode: str) -> PreparedTrial:
+    """The trial with the nodes kept by grading, and the subgraph of those in
+    the destination's quadrant."""
     feasible = select_feasible(topology, kb, mode)
     candidates = quadrant_candidates(topology, source, destination) & feasible
-    return feasible, Subgraph.from_topology(topology, candidates, source)
+    return PreparedTrial(topology, kb, feasible, source, destination,
+                         Subgraph.from_topology(topology, candidates, source))
 
 
 def prepare_trial(n: int, seed: int, config: RunConfig) -> PreparedTrial:
@@ -170,8 +172,7 @@ def prepare_trial(n: int, seed: int, config: RunConfig) -> PreparedTrial:
     )
     kb = grade_topology(topology, config, seed)
     source, destination = pick_endpoints(topology, stream_py_rng(seed, STREAM_ENDPOINTS))
-    feasible, subgraph = prune(topology, kb, source, destination, config.selection_mode)
-    return PreparedTrial(topology, kb, feasible, source, destination, subgraph)
+    return prune(topology, kb, source, destination, config.selection_mode)
 
 
 _SEARCHES = {

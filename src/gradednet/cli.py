@@ -9,12 +9,12 @@ can be reproduced from the directory alone.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from .bench import (
-    PreparedTrial,
     emit_plot_data,
     grade_topology,
     prune,
@@ -25,7 +25,7 @@ from .bench import (
     write_records_csv,
 )
 from .config import RunConfig
-from .grading import save_grade_dump, select_feasible
+from .grading import SELECTION_MODES, save_grade_dump, select_feasible
 from .optimizers import RouteResult
 from .topology import generate_topology, load_topology, quadrant_of, save_topology
 
@@ -57,17 +57,18 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_shared(p):
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--seed", type=int, help="base seed")
-        p.add_argument("--out", help="output directory")
+        p.add_argument("--out", dest="out_dir", help="output directory")
 
     p_gen = sub.add_parser("generate", help="generate a topology file")
     add_shared(p_gen)
     p_gen.add_argument("--n", type=int, help="node count")
-    p_gen.add_argument("--density", type=float, help="link density in (0, 1]")
+    p_gen.add_argument("--density", dest="link_density", type=float,
+                       help="link density in (0, 1]")
 
     p_grade = sub.add_parser("grade", help="grade a topology into a knowledge base dump")
     add_shared(p_grade)
     p_grade.add_argument("--topology", required=True, help="topology JSON file")
-    p_grade.add_argument("--mode", choices=("best-classes", "literal"))
+    p_grade.add_argument("--mode", dest="selection_mode", choices=SELECTION_MODES)
 
     p_route = sub.add_parser("route", help="grade, prune, and search for a route")
     add_shared(p_route)
@@ -75,36 +76,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p_route.add_argument("--source", type=int, required=True)
     p_route.add_argument("--destination", type=int, required=True)
     p_route.add_argument("--algo", choices=("abc", "ga", "both"), default="both")
-    p_route.add_argument("--mode", choices=("best-classes", "literal"))
+    p_route.add_argument("--mode", dest="selection_mode", choices=SELECTION_MODES)
 
     p_bench = sub.add_parser("bench", help="run the node-count sweep benchmark")
     add_shared(p_bench)
     p_bench.add_argument("--node-counts", type=_node_counts,
                          help="comma-separated node counts")
     p_bench.add_argument("--seeds-per-n", type=int, help="replicates per node count")
-    p_bench.add_argument("--density", type=float, help="link density in (0, 1]")
+    p_bench.add_argument("--density", dest="link_density", type=float,
+                         help="link density in (0, 1]")
 
     return parser
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if getattr(args, "n", None) is not None:
-        overrides["n"] = args.n
-    if getattr(args, "density", None) is not None:
-        overrides["link_density"] = args.density
-    if getattr(args, "mode", None) is not None:
-        overrides["selection_mode"] = args.mode
-    if getattr(args, "node_counts", None) is not None:
-        overrides["node_counts"] = args.node_counts
-    if getattr(args, "seeds_per_n", None) is not None:
-        overrides["seeds_per_n"] = args.seeds_per_n
-    return config.replace(**overrides)
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    return config.replace(**{name: value for name, value in vars(args).items()
+                             if name in fields and value is not None})
 
 
 def _prepare_out(config: RunConfig) -> Path:
@@ -176,15 +165,14 @@ def cmd_route(config: RunConfig, topology_path: str, source: int,
     kb = grade_topology(topology, config, config.seed)
     save_grade_dump(kb, config.selection_mode, out / "grade_dump.json")
 
-    feasible, subgraph = prune(topology, kb, source, destination, config.selection_mode)
-    trial = PreparedTrial(topology, kb, feasible, source, destination, subgraph)
+    trial = prune(topology, kb, source, destination, config.selection_mode)
     tag = quadrant_of(topology.nodes[source].position,
                       topology.nodes[destination].position)
 
     print(f"topology: {topology.n} nodes, {len(topology.links)} links")
-    print(f"selection mode {config.selection_mode}: {len(feasible)}/{topology.n} nodes kept; "
-          f"destination quadrant {tag.name}: {len(subgraph.allowed) - 1} candidates")
-    if destination not in feasible:
+    print(f"selection mode {config.selection_mode}: {len(trial.feasible)}/{topology.n} nodes "
+          f"kept; destination quadrant {tag.name}: {len(trial.subgraph.allowed) - 1} candidates")
+    if destination not in trial.feasible:
         priority = kb.records[destination].priority
         print(f"note: destination {destination} excluded by grading "
               f"(priority {priority}); no route can qualify")

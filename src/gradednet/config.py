@@ -1,8 +1,10 @@
 """Run configuration: one flat, serializable document shared by all commands.
 
-Each stage config (grading, ABC, GA) is cut from ``RunConfig`` by field name
-and checks its own fields; ``RunConfig`` checks the rest and builds all three
-when it is built, so a bad value fails before any output is written.
+Each stage config (grading, ABC, GA) declares its own settings, with their
+defaults, and checks them when it is built.  ``RunConfig`` inherits all
+three, adds the run's own fields, checks those, and builds each stage config
+from its fields when it is built, so a bad value fails before any output is
+written.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from pathlib import Path
 
 from .grading import SELECTION_MODES, GradingConfig
 from .optimizers import AbcConfig, GaConfig
-from .topology import check_json_value
+from .topology import DEFAULT_CAPACITY_MBPS, check_json_value
 
 DEFAULT_NODE_COUNTS = (15, 16, 32, 64, 128, 256, 512, 1024)
 
@@ -29,53 +31,27 @@ _POSITIVE_FIELDS = {
     "packet_size_bytes": "packet size",
 }
 
-# The RunConfig field a stage-config field is cut from, where the names differ.
-_RENAMED = {"limit": "abc_limit"}
-
 # Keys of older run_config.json files whose fields are gone; from_dict drops
 # them so those files still load.
 _RETIRED_KEYS = ("refresh_period_s",)
 
 
 @dataclass
-class RunConfig:
-    """Every knob of a run.  Defaults follow the benchmark's initial parameters
-    (200-byte packets, 30 Mbps links, 30 cycles, roulette GA with 0.1% mutation)."""
+class RunConfig(GaConfig, AbcConfig, GradingConfig):
+    """Every knob of a run: the grading, ABC and GA settings it inherits, and
+    its own.  Defaults follow the benchmark's initial parameters (200-byte
+    packets, 30 Mbps links, 30 cycles, roulette GA with 0.1% mutation)."""
 
     n: int = 15
     node_counts: tuple[int, ...] = DEFAULT_NODE_COUNTS
     seeds_per_n: int = 5
     seed: int = 42
     link_density: float = 0.2
-
     packet_size_bytes: int = 200
-    max_bandwidth_mbps: float = 30.0
-    flow_rate_mbps: float = 1.0
+    max_bandwidth_mbps: float = DEFAULT_CAPACITY_MBPS
     mu: float = 1.0
-    alpha: float = 1.0
-    arrival_horizon_s: float = 1.0
-    grade_time_s: float = 0.0
-
-    # these thresholds keep roughly 60% of nodes, in line with the reference
-    # selection counts at desk scale
-    density_threshold: int = 5
-    lifetime_threshold: float = 35.0
-    lifetime_scale: float = 100.0
-    resource_prob: float = 0.9
-    congestion_threshold: float = 0.25
-    delay_multiplier: float = 5.0
     bw_threshold_mbps: float = 4.5
     selection_mode: str = "best-classes"
-
-    # A large colony exhausts the pruned quadrant subgraph within the first
-    # few cycles.
-    colony_size: int = 100
-    max_cycles: int = 30
-    abc_limit: int | None = None
-    population_size: int = 15
-    generations: int = 30
-    mutation_rate: float = 0.001
-
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
@@ -89,10 +65,14 @@ class RunConfig:
         self.node_counts = tuple(self.node_counts)
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.node_counts:
             raise ValueError("node_counts must not be empty")
         if any(v < 2 for v in self.node_counts):
             raise ValueError(f"node_counts entries must be >= 2, got {list(self.node_counts)}")
+        if len(set(self.node_counts)) < len(self.node_counts):
+            raise ValueError(f"node_counts entries must be distinct, got {list(self.node_counts)}")
         if not 0.0 < self.link_density <= 1.0:
             raise ValueError(f"link_density must be in (0, 1], got {self.link_density}")
         for name, meaning in _POSITIVE_FIELDS.items():
@@ -103,13 +83,13 @@ class RunConfig:
             raise ValueError(f"selection_mode must be one of {SELECTION_MODES}")
         if self.seeds_per_n < 1:
             raise ValueError("seeds_per_n must be >= 1")
+        # this method overrides the stage configs' checks; building each one runs them
         self.grading_config()
         self.abc_config()
         self.ga_config()
 
     def _cut(self, stage: type):
-        return stage(**{f.name: getattr(self, _RENAMED.get(f.name, f.name))
-                        for f in dataclasses.fields(stage)})
+        return stage(**{f.name: getattr(self, f.name) for f in dataclasses.fields(stage)})
 
     def abc_config(self) -> AbcConfig:
         return self._cut(AbcConfig)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyKnowledgeBaseError, InfeasibleBalanceError, SaturatedChannelError
-from .topology import QosInputs, Topology
+from .topology import DEFAULT_LIFETIME_SCALE, QosInputs, Topology
 from .traffic import LinkState, available_bandwidth, load_fraction
 
 SELECTION_MODES = ("best-classes", "literal")
@@ -63,9 +63,11 @@ class GradingConfig:
     """Thresholds and sampling parameters for knowledge-base construction;
     the rates and the ranges of the grading draws are checked when it is built."""
 
+    # these thresholds keep roughly 60% of nodes, in line with the reference
+    # selection counts at desk scale
     density_threshold: int = 5
-    lifetime_threshold: float = 20.0
-    lifetime_scale: float = 100.0
+    lifetime_threshold: float = 35.0
+    lifetime_scale: float = DEFAULT_LIFETIME_SCALE
     resource_prob: float = 0.9
     congestion_threshold: float = 0.25
     delay_multiplier: float = 5.0
@@ -89,8 +91,8 @@ class GradingConfig:
 
 
 def level1_priority(q: QosInputs, congested: bool, delayed: bool,
-                    density_threshold: int = 5,
-                    lifetime_threshold: float = 20.0) -> int:
+                    density_threshold: int = GradingConfig.density_threshold,
+                    lifetime_threshold: float = GradingConfig.lifetime_threshold) -> int:
     """Classify a node into priority 1 (best) .. 6 (worst).
 
     Checks nest in order: lifetime above threshold, density below threshold,

@@ -38,19 +38,21 @@ class Fitness:
 
 @dataclass
 class AbcConfig:
-    """Colony controls.  limit=None defaults to 5x the colony size."""
+    """Colony controls.  abc_limit=None defaults to 5x the colony size."""
 
+    # A large colony exhausts the pruned quadrant subgraph within the first
+    # few cycles.
     colony_size: int = 100
     max_cycles: int = 30
-    limit: int | float | None = None
+    abc_limit: int | None = None
 
     def __post_init__(self) -> None:
         if self.max_cycles < 1:
             raise ValueError("max_cycles must be >= 1")
         if self.colony_size < 1:
             raise ValueError("colony_size must be >= 1")
-        if self.limit is not None and self.limit < 1:
-            raise ValueError("limit must be >= 1")
+        if self.abc_limit is not None and self.abc_limit < 1:
+            raise ValueError("abc_limit must be >= 1")
 
 
 @dataclass
@@ -343,7 +345,7 @@ def abc_search(subgraph: Subgraph, source: int, destination: int,
 
     Employed bees perturb each food source and greedily keep improvements;
     onlookers reinforce sources in proportion to their nectar (bottleneck
-    bandwidth); sources stuck for ``limit`` trials are abandoned to scouts.
+    bandwidth); sources stuck for ``abc_limit`` trials are abandoned to scouts.
     The best source ever seen is remembered across cycles.
 
     Onlooker weights are built once per onlooker phase and updated in place
@@ -353,7 +355,7 @@ def abc_search(subgraph: Subgraph, source: int, destination: int,
     """
     search = _Search(subgraph, source, destination, kb, rng, bw_threshold, observer)
     colony = cfg.colony_size
-    limit = cfg.limit if cfg.limit is not None else colony * 5
+    limit = cfg.abc_limit if cfg.abc_limit is not None else colony * 5
     sources = [FoodSource(path, fit) for path, fit in search.populate(colony)]
     if not sources:
         return search.result()

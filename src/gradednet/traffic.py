@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CongestedLinkError
+from .topology import DEFAULT_CAPACITY_MBPS
 
 
 @dataclass
@@ -134,8 +135,8 @@ def sample_poisson_arrivals(model: ArrivalModel, horizon: float,
 
 
 def sample_link_states(n_links: int, rng: np.random.Generator, *,
-                       capacity_mbps: float = 30.0, flow_rate_mbps: float = 1.0,
-                       mu: float = 1.0) -> LinkState:
+                       capacity_mbps: float = DEFAULT_CAPACITY_MBPS,
+                       flow_rate_mbps: float = 1.0, mu: float = 1.0) -> LinkState:
     """Draw an initial load state for every link in a topology, as one columnar record.
 
     Initial loads and arrival rates are uniform over the range a link can

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from gradednet.cli import main
+from gradednet.config import RunConfig
 
 
 def _run(capsys, *argv):
@@ -204,7 +205,7 @@ def test_topology_missing_node_field_exits_one(tmp_path, capsys):
 
 def test_config_field_of_wrong_type_exits_one(tmp_path, capsys):
     for doc in ({"n": "abc"}, {"link_density": True}, {"colony_size": 2.5},
-                {"colony_size": None}, {"node_counts": 64}, [1, 2]):
+                {"colony_size": None}, {"abc_limit": 2.5}, {"node_counts": 64}, [1, 2]):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(doc))
         code, _, err = _run(capsys, "generate", "--config", str(cfg_path),
@@ -256,6 +257,12 @@ def test_bench_node_count_below_two_writes_nothing(tmp_path, capsys):
     code, _, err = _run(capsys, "bench", "--node-counts", "64,", "--out", str(out))
     assert code == 1 and "--node-counts" in err
     assert not out.exists()
+    # a repeated node count would count the same trials twice
+    code, _, err = _run(capsys, "bench", "--node-counts", "16,16", "--seeds-per-n", "2",
+                        "--out", str(out))
+    assert code == 1
+    assert err.startswith("error:") and "node_counts" in err
+    assert not out.exists()
     # search settings are checked when the config is built, before any output
     for doc in ({"colony_size": 0}, {"max_cycles": 0}, {"population_size": 1},
                 {"abc_limit": 0}, {"mutation_rate": 2}):
@@ -277,6 +284,53 @@ def test_bench_node_count_below_two_writes_nothing(tmp_path, capsys):
             assert code == 1, (command, doc)
             assert err.startswith("error:") and next(iter(doc)) in err, (command, doc)
             assert not out.exists(), (command, doc)
+
+
+def _command_args(command, topology):
+    """The flags each command needs besides the config ones, on a small run."""
+    return {"generate": {"--n": "12"},
+            "grade": {"--topology": topology},
+            "route": {"--topology": topology, "--source": "0", "--destination": "5"},
+            "bench": {"--node-counts": "16", "--seeds-per-n": "1"}}[command]
+
+
+@pytest.mark.parametrize("command, flag, text, field, value", [
+    ("generate", "--n", "18", "n", 18),
+    ("generate", "--density", "0.35", "link_density", 0.35),
+    ("bench", "--density", "0.35", "link_density", 0.35),
+    ("grade", "--mode", "literal", "selection_mode", "literal"),
+    ("route", "--mode", "literal", "selection_mode", "literal"),
+    ("bench", "--node-counts", "16,20", "node_counts", [16, 20]),
+    ("bench", "--seeds-per-n", "2", "seeds_per_n", 2),
+    ("grade", "--seed", "7", "seed", 7),
+])
+def test_flag_sets_the_field_it_names(tmp_path, capsys, command, flag, text, field, value):
+    assert RunConfig().to_dict()[field] != value
+    _run(capsys, "generate", "--n", "12", "--seed", "3", "--out", str(tmp_path / "gen"))
+    args = _command_args(command, str(tmp_path / "gen" / "topology.json"))
+    args[flag] = text
+    out = tmp_path / "run"
+    code, _, _ = _run(capsys, command, *(v for item in args.items() for v in item),
+                      "--out", str(out))
+    assert code == 0
+    # --out sets out_dir: the directory the resolved config is written to, so
+    # run_config.json itself leaves that field out
+    doc = json.loads((out / "run_config.json").read_text())
+    assert doc[field] == value
+    assert "out_dir" not in doc
+
+
+def test_negative_seed_names_the_field_and_writes_nothing(tmp_path, capsys):
+    _run(capsys, "generate", "--n", "12", "--seed", "3", "--out", str(tmp_path / "gen"))
+    topology = str(tmp_path / "gen" / "topology.json")
+    out = tmp_path / "run"
+    for command in ("generate", "grade", "route", "bench"):
+        args = _command_args(command, topology)
+        code, _, err = _run(capsys, command, *(v for item in args.items() for v in item),
+                            "--seed", "-1", "--out", str(out))
+        assert code == 1, command
+        assert err.startswith("error:") and "seed" in err, command
+        assert not out.exists(), command
 
 
 def test_zero_flow_rate_exits_one(tmp_path, capsys):

@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradednet.config import RunConfig
-
-# The RunConfig field a stage-config field is read from, where the names differ.
-RENAMED = {"limit": "abc_limit"}
+from gradednet.grading import GradingConfig
+from gradednet.optimizers import AbcConfig, GaConfig
 
 _run_configs = st.builds(
     RunConfig,
@@ -35,6 +34,12 @@ def test_stage_configs_are_cut_from_run_config_by_name(config):
     run_fields = {f.name for f in dataclasses.fields(RunConfig)}
     for stage in (config.grading_config(), config.abc_config(), config.ga_config()):
         for f in dataclasses.fields(stage):
-            name = RENAMED.get(f.name, f.name)
-            assert name in run_fields, (type(stage).__name__, f.name)
-            assert getattr(stage, f.name) == getattr(config, name), (type(stage).__name__, name)
+            assert f.name in run_fields, (type(stage).__name__, f.name)
+            assert getattr(stage, f.name) == getattr(config, f.name), (type(stage).__name__, f.name)
+
+
+def test_stage_config_defaults_are_the_run_defaults():
+    run = RunConfig()
+    assert GradingConfig() == run.grading_config()
+    assert AbcConfig() == run.abc_config()
+    assert GaConfig() == run.ga_config()

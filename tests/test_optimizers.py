@@ -385,12 +385,12 @@ def test_abc_limit_boundary_scouting():
     # limit=inf never scouts; limit=1 scouts a source as soon as it fails once
     topo, kb, sub = _random_setup(23, n=16, density=0.3)
     events = []
-    abc_search(sub, 0, 15, AbcConfig(colony_size=4, max_cycles=10, limit=math.inf),
+    abc_search(sub, 0, 15, AbcConfig(colony_size=4, max_cycles=10, abc_limit=math.inf),
                kb, random.Random(1), observer=lambda kind, p: events.append(kind))
     assert "scout" not in events
 
     events = []
-    abc_search(sub, 0, 15, AbcConfig(colony_size=4, max_cycles=10, limit=1),
+    abc_search(sub, 0, 15, AbcConfig(colony_size=4, max_cycles=10, abc_limit=1),
                kb, random.Random(1), observer=lambda kind, p: events.append(kind))
     assert "scout" in events
 
@@ -480,7 +480,7 @@ def _searches(draw):
     if draw(st.booleans()):
         optimizer, cfg = abc_search, AbcConfig(colony_size=draw(st.integers(1, 6)),
                                                max_cycles=draw(st.integers(1, 6)),
-                                               limit=draw(st.integers(1, 5)))
+                                               abc_limit=draw(st.integers(1, 5)))
     else:
         optimizer, cfg = ga_search, GaConfig(
             population_size=draw(st.integers(2, 6)), generations=draw(st.integers(1, 6)),
@@ -511,7 +511,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         AbcConfig(max_cycles=0)
     with pytest.raises(ValueError):
-        AbcConfig(limit=0)
+        AbcConfig(abc_limit=0)
     with pytest.raises(ValueError):
         GaConfig(population_size=1)
     with pytest.raises(ValueError):
