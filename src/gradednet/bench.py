@@ -12,7 +12,6 @@ perturbs the existing ones.
 from __future__ import annotations
 
 import csv
-import json
 import random
 import statistics
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ import numpy as np
 from .config import RunConfig
 from .grading import KnowledgeBase, build_knowledge_base, select_feasible
 from .optimizers import Observer, RouteResult, Subgraph, abc_search, ga_search
-from .topology import Topology, generate_topology, quadrant_candidates
+from .topology import Topology, generate_topology, quadrant_candidates, write_json
 from .traffic import sample_link_states, traffic_intensity
 
 STREAM_TOPOLOGY = 0
@@ -287,7 +286,7 @@ def summary_to_dict(summary: SuiteSummary) -> dict:
 
 
 def save_summary_json(summary: SuiteSummary, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(summary_to_dict(summary), indent=2, sort_keys=True) + "\n")
+    write_json(path, summary_to_dict(summary))
 
 
 PLOT_KINDS = ("traffic-intensity", "throughput")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -27,11 +26,8 @@ from .bench import (
 from .config import RunConfig
 from .grading import SELECTION_MODES, save_grade_dump, select_feasible
 from .optimizers import RouteResult
-from .topology import generate_topology, load_topology, quadrant_of, save_topology
-
-
-class _UsageError(Exception):
-    pass
+from .topology import (generate_topology, load_topology, quadrant_candidates, quadrant_of,
+                       save_topology, write_json)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,7 +98,7 @@ def _prepare_out(config: RunConfig) -> Path:
     # Provenance: every knob except the output location itself.
     doc = config.to_dict()
     doc.pop("out_dir")
-    (out / "run_config.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(out / "run_config.json", doc)
     return out
 
 
@@ -154,20 +150,13 @@ def _route_result_dict(result: RouteResult) -> dict:
 def cmd_route(config: RunConfig, topology_path: str, source: int,
               destination: int, algo: str) -> int:
     topology = load_topology(topology_path)
-    if not topology.has_node(source) or not topology.has_node(destination):
-        raise _UsageError(f"node ids must be in 0..{topology.n - 1}")
-    if source == destination:
-        raise _UsageError("source and destination must differ")
-    if topology.nodes[source].position == topology.nodes[destination].position:
-        raise _UsageError("destination is at the source's position; its quadrant is undefined")
-
+    quadrant_candidates(topology, source, destination)  # the prune's endpoint checks
     out = _prepare_out(config)
     kb = grade_topology(topology, config, config.seed)
     save_grade_dump(kb, config.selection_mode, out / "grade_dump.json")
 
     trial = prune(topology, kb, source, destination, config.selection_mode)
-    tag = quadrant_of(topology.nodes[source].position,
-                      topology.nodes[destination].position)
+    tag = quadrant_of(topology.positions[source], topology.positions[destination])
 
     print(f"topology: {topology.n} nodes, {len(topology.links)} links")
     print(f"selection mode {config.selection_mode}: {len(trial.feasible)}/{topology.n} nodes "
@@ -186,8 +175,7 @@ def cmd_route(config: RunConfig, topology_path: str, source: int,
         doc["source"] = source
         doc["destination"] = destination
         doc["selection_mode"] = config.selection_mode
-        (out / f"route_{name}.json").write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        write_json(out / f"route_{name}.json", doc)
     return 0
 
 
@@ -239,10 +227,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "route":
             return cmd_route(config, args.topology, args.source,
                              args.destination, args.algo)
-        if args.command == "bench":
-            return cmd_bench(config)
-        raise _UsageError(f"unknown command {args.command}")
-    except (_UsageError, ValueError) as exc:
+        return cmd_bench(config)  # the parser admits no other command
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

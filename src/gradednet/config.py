@@ -10,13 +10,12 @@ written.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from .grading import SELECTION_MODES, GradingConfig
 from .optimizers import AbcConfig, GaConfig
-from .topology import DEFAULT_CAPACITY_MBPS, check_json_value
+from .topology import DEFAULT_CAPACITY_MBPS, check_json_value, is_finite, read_json
 
 DEFAULT_NODE_COUNTS = (15, 16, 32, 64, 128, 256, 512, 1024)
 
@@ -79,6 +78,9 @@ class RunConfig(GaConfig, AbcConfig, GradingConfig):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} ({meaning}) must be positive, "
                                  f"got {getattr(self, name)!r}")
+        if not is_finite(self.packet_size_bytes * 8):
+            raise ValueError(f"packet_size_bytes (packet size) in bits must fit a float, "
+                             f"got {self.packet_size_bytes!r}")
         if self.selection_mode not in SELECTION_MODES:
             raise ValueError(f"selection_mode must be one of {SELECTION_MODES}")
         if self.seeds_per_n < 1:
@@ -118,7 +120,7 @@ class RunConfig(GaConfig, AbcConfig, GradingConfig):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(read_json(path))
 
     def replace(self, **overrides) -> "RunConfig":
         return dataclasses.replace(self, **overrides)

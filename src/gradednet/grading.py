@@ -10,7 +10,6 @@ links, i.e. how much bandwidth headroom the node offers a route.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyKnowledgeBaseError, InfeasibleBalanceError, SaturatedChannelError
-from .topology import DEFAULT_LIFETIME_SCALE, QosInputs, Topology
+from .topology import DEFAULT_LIFETIME_SCALE, QosInputs, Topology, write_json
 from .traffic import LinkState, available_bandwidth, load_fraction
 
 SELECTION_MODES = ("best-classes", "literal")
@@ -335,4 +334,4 @@ def grade_dump(kb: KnowledgeBase, mode: str) -> list[dict]:
 
 
 def save_grade_dump(kb: KnowledgeBase, mode: str, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(grade_dump(kb, mode), indent=2, sort_keys=True) + "\n")
+    write_json(path, grade_dump(kb, mode))

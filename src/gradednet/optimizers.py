@@ -12,6 +12,8 @@ ever seen; the two differ only in their phase loops.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Callable
@@ -105,12 +107,10 @@ class Subgraph:
         inside = np.zeros(topology.n, dtype=bool)
         inside[members] = True
         edges = topology.edges
-        kept = inside[edges.node] & inside[edges.neighbor]
-        node, neighbors = edges.node[kept], edges.neighbor[kept].tolist()
-        first = np.searchsorted(node, members, "left").tolist()
-        last = np.searchsorted(node, members, "right").tolist()
+        rows = [edges.neighbor[i:i + d] for i, d in zip(edges.starts[members].tolist(),
+                                                        edges.degree[members].tolist())]
         self.adj: dict[int, tuple[int, ...]] = {
-            v: tuple(neighbors[i:j]) for v, i, j in zip(members, first, last)
+            v: tuple(row[inside[row]].tolist()) for v, row in zip(members, rows)
         }
 
     @classmethod
@@ -216,16 +216,14 @@ def roulette_select(weights: list[float] | tuple[float, ...], rng: random.Random
         raise ValueError("weights must not be empty")
     if any(w < 0 for w in weights):
         raise ValueError("weights must be nonnegative")
-    total = sum(weights)
+    # the total is the last left-to-right partial sum, so the pick below can
+    # reach it; sum() compensates on Python 3.12+ and could differ
+    partial = list(itertools.accumulate(weights))
+    total = partial[-1]
     if total <= 0.0:
         return rng.randrange(len(weights))
     r = rng.random() * total
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if r < acc:
-            return i
-    return len(weights) - 1
+    return min(bisect.bisect_right(partial, r), len(weights) - 1)
 
 
 def _excise_loops(path: PathNodes) -> PathNodes:

@@ -138,20 +138,25 @@ class EdgeArrays:
 
 @dataclass
 class Topology:
-    """A generated network: nodes, undirected links, and their edge arrays, built once."""
+    """A generated network: nodes, undirected links, and their position (n x 2)
+    and edge arrays, built once."""
 
     seed: int
     nodes: list[Node]
     links: list[Link]
+    positions: np.ndarray = field(init=False, repr=False, compare=False)
     edges: EdgeArrays = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ids = [node.id for node in self.nodes]
         if ids != list(range(len(self.nodes))):
             raise ValueError("node ids must be dense 0..n-1 in order")
-        for node in self.nodes:
-            if not (0.0 <= node.x <= 1.0 and 0.0 <= node.y <= 1.0):
-                raise ValueError(f"node {node.id} position outside the unit square")
+        # dtype inferred, so an int beyond float range compares exactly instead of overflowing
+        coords = np.array([node.position for node in self.nodes]).reshape(-1, 2)
+        inside = ((coords >= 0.0) & (coords <= 1.0)).all(axis=1)  # NaN is outside
+        if not inside.all():
+            raise ValueError(f"node {int(np.argmin(inside))} position outside the unit square")
+        self.positions = coords.astype(float)
         self.edges = EdgeArrays.of(self.n, self.links)
 
     @property
@@ -212,34 +217,34 @@ def generate_topology(n: int, link_density: float, seed: int, *,
     return Topology(seed=seed, nodes=nodes, links=links)
 
 
+def _quadrant_numbers(dx, dy):
+    # The quadrant rule on offsets from the source, scalar or array: each
+    # offset's Quadrant value, 0 for the zero offset.
+    return np.select(((dx > 0) & (dy >= 0), (dx <= 0) & (dy > 0),
+                      (dx < 0) & (dy <= 0), (dx >= 0) & (dy < 0)), (1, 2, 3, 4), 0)
+
+
 def quadrant_of(source_pos: tuple[float, float], node_pos: tuple[float, float]) -> Quadrant:
     """Quadrant of ``node_pos`` relative to ``source_pos``.
 
     Angular intervals are half-open starting counter-clockwise from the
     positive x axis: [0, 90) -> Q1, [90, 180) -> Q2, [180, 270) -> Q3,
     [270, 360) -> Q4, so points on an axis belong to the quadrant that
-    starts there.
+    starts there.  Exact sign tests on the offset (dx, dy) decide them, so
+    a node within rounding of an axis still lands on its own side.
     """
-    dx = node_pos[0] - source_pos[0]
-    dy = node_pos[1] - source_pos[1]
-    if dx == 0.0 and dy == 0.0:
-        raise CoincidentPointError("node coincides with the source; quadrant undefined")
-    angle = math.degrees(math.atan2(dy, dx)) % 360.0
-    if angle < 90.0:
-        return Quadrant.Q1
-    if angle < 180.0:
-        return Quadrant.Q2
-    if angle < 270.0:
-        return Quadrant.Q3
-    return Quadrant.Q4
+    number = int(_quadrant_numbers(node_pos[0] - source_pos[0], node_pos[1] - source_pos[1]))
+    if number == 0:
+        raise CoincidentPointError("node is at the source's position; its quadrant is undefined")
+    return Quadrant(number)
 
 
 def quadrant_candidates(topology: Topology, source: int, destination: int) -> set[int]:
     """Nodes sharing the destination's quadrant around ``source``.
 
     The source itself is excluded (it is always a route member); the
-    destination is always included.  Nodes that happen to sit exactly on the
-    source position cannot be classified and are skipped.
+    destination is always included.  Nodes at the source's position have no
+    quadrant and are skipped; a destination there is a CoincidentPointError.
     """
     if not topology.has_node(source):
         raise ValueError(f"unknown source node {source}")
@@ -248,15 +253,9 @@ def quadrant_candidates(topology: Topology, source: int, destination: int) -> se
     if source == destination:
         raise ValueError("source and destination must differ")
 
-    src_pos = topology.nodes[source].position
-    target = quadrant_of(src_pos, topology.nodes[destination].position)
-    members: set[int] = set()
-    for node in topology.nodes:
-        if node.id == source or node.position == src_pos:
-            continue
-        if quadrant_of(src_pos, node.position) is target:
-            members.add(node.id)
-    return members
+    target = quadrant_of(topology.positions[source], topology.positions[destination])
+    offset = topology.positions - topology.positions[source]
+    return set(np.flatnonzero(_quadrant_numbers(*offset.T) == target.value).tolist())
 
 
 def topology_to_dict(topology: Topology) -> dict:
@@ -303,6 +302,19 @@ def check_json_value(value, kind: type, what: str) -> None:
         raise ValueError(f"{what} must be finite, got {value!r}")
 
 
+def read_json(path: str | Path):
+    """The JSON document in ``path``; nesting too deep to parse is a ValueError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to read") from None
+
+
+def write_json(path: str | Path, doc) -> None:
+    """Write ``doc`` to ``path`` as indented JSON with sorted keys and a final newline."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def _field(entry: dict, name: str, kind: type, where: str):
     try:
         value = entry[name]
@@ -341,8 +353,8 @@ def topology_from_dict(doc: dict) -> Topology:
 
 
 def save_topology(topology: Topology, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(topology_to_dict(topology), indent=2, sort_keys=True) + "\n")
+    write_json(path, topology_to_dict(topology))
 
 
 def load_topology(path: str | Path) -> Topology:
-    return topology_from_dict(json.loads(Path(path).read_text()))
+    return topology_from_dict(read_json(path))

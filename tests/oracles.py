@@ -3,8 +3,8 @@
 These deliberately avoid the code paths they verify: the ODE oracle
 integrates numerically instead of using the closed form, the path oracle
 enumerates exhaustively instead of searching, the balance oracle solves
-a small LP, and the adjacency and grading oracles walk links and nodes one
-at a time in plain Python instead of computing on edge arrays.
+a small LP, and the adjacency, grading and quadrant oracles walk links and
+nodes one at a time in plain Python instead of computing on arrays.
 """
 
 from __future__ import annotations
@@ -149,6 +149,42 @@ def _left_to_right_sum(values) -> float:
     for value in values:
         total += value
     return total
+
+
+def quadrant_members(topology, source: int, destination: int) -> set[int] | None:
+    """``quadrant_candidates`` node by node, from the documented half-open
+    angular intervals written as half-planes: [0, 180) is above the source
+    or on its right along the x axis, and it splits at the y axis into Q1 and
+    Q2; [180, 360) splits the same way into Q3 and Q4.  Nodes at the source's
+    position have no quadrant; None when the destination is one of them."""
+    sx, sy = topology.nodes[source].x, topology.nodes[source].y
+
+    def quadrant(node) -> int | None:
+        dx, dy = node.x - sx, node.y - sy
+        if dx == 0.0 and dy == 0.0:
+            return None
+        if dy > 0.0 or (dy == 0.0 and dx > 0.0):
+            return 1 if dx > 0.0 else 2
+        return 3 if dx < 0.0 else 4
+
+    target = quadrant(topology.nodes[destination])
+    if target is None:
+        return None
+    return {node.id for node in topology.nodes if node.id != source and quadrant(node) == target}
+
+
+def roulette_by_scan(weights, rng) -> int:
+    """Fitness-proportional pick as one left-to-right scan whose own sum is the total."""
+    total = _left_to_right_sum(weights)
+    if total <= 0.0:
+        return rng.randrange(len(weights))
+    r = rng.random() * total
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if r < acc:
+            return i
+    return len(weights) - 1
 
 
 def grade_nodes_one_by_one(topology, link_states, config, rng):

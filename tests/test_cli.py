@@ -355,6 +355,8 @@ def test_zero_flow_rate_exits_one(tmp_path, capsys):
     pytest.param('{"mu": 1%s}' % ("0" * 400), "mu", id="mu-401-digit-int"),
     pytest.param('{"lifetime_threshold": -1%s}' % ("0" * 400), "lifetime_threshold",
                  id="lifetime_threshold-401-digit-int"),
+    pytest.param('{"packet_size_bytes": 1%s}' % ("0" * 400), "packet_size_bytes",
+                 id="packet_size_bytes-401-digit-int"),
 ])
 def test_config_non_finite_number_exits_one(tmp_path, capsys, text, field):
     _run(capsys, "generate", "--n", "12", "--seed", "3", "--out", str(tmp_path / "gen"))
@@ -366,6 +368,20 @@ def test_config_non_finite_number_exits_one(tmp_path, capsys, text, field):
         assert code == 1, command
         assert err.startswith("error:") and field in err, command
     assert not (tmp_path / "x").exists()
+
+
+def test_deeply_nested_json_exits_one(tmp_path, capsys):
+    # nesting beyond the interpreter's recursion limit is an error line, not a traceback
+    nested = tmp_path / "nested.json"
+    for command, depth in ((["grade", "--topology"], 100_000),
+                           (["route", "--source", "0", "--destination", "1", "--topology"], 100_000),
+                           (["bench", "--config"], 50_000)):
+        nested.write_text("[" * depth)
+        out = tmp_path / "out"
+        code, _, err = _run(capsys, *command, str(nested), "--out", str(out))
+        assert code == 1, command
+        assert err.startswith("error:") and "nested" in err, command
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("section, field, value", [

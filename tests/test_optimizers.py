@@ -34,7 +34,7 @@ from gradednet.optimizers import (
 )
 from gradednet.topology import Link, Node, QosInputs, Topology, generate_topology
 from gradednet.traffic import sample_link_states
-from oracles import adjacency, bfs_hops, enumerate_best_bottleneck
+from oracles import adjacency, bfs_hops, enumerate_best_bottleneck, roulette_by_scan
 
 
 def _topology(positions, links):
@@ -260,6 +260,15 @@ def test_roulette_all_zero_uniform():
     rng = random.Random(3)
     seen = {roulette_select([0.0, 0.0, 0.0], rng) for _ in range(200)}
     assert seen == {0, 1, 2}
+
+
+@given(st.lists(st.floats(0.0, 1e6) | st.sampled_from([0.0, 0.1, 0.2, 0.7]), min_size=1,
+                max_size=20), st.integers(0, 2**32 - 1))
+def test_roulette_picks_as_a_left_to_right_scan(weights, seed):
+    # same pick and same draws; the scan's total is its own left-to-right sum
+    rng, scan_rng = random.Random(seed), random.Random(seed)
+    assert roulette_select(weights, rng) == roulette_by_scan(weights, scan_rng)
+    assert rng.random() == scan_rng.random()
 
 
 def test_roulette_validation():

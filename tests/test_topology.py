@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gradednet.errors import CoincidentPointError
 from gradednet.topology import (
@@ -17,7 +19,7 @@ from gradednet.topology import (
     save_topology,
     topology_to_dict,
 )
-from oracles import adjacency
+from oracles import adjacency, quadrant_members
 
 
 def _manual_topology(positions, links, seed=0):
@@ -90,6 +92,9 @@ def test_quadrant_axis_rules():
     assert quadrant_of(src, (0.1, 0.9)) is Quadrant.Q2
     assert quadrant_of(src, (0.1, 0.1)) is Quadrant.Q3
     assert quadrant_of(src, (0.9, 0.1)) is Quadrant.Q4
+    # within rounding of an axis: an angle would round onto it, the signs do not
+    assert quadrant_of(src, (0.0, math.nextafter(0.5, 1))) is Quadrant.Q2
+    assert quadrant_of((0.0, 0.0), (1e-300, 0.25)) is Quadrant.Q1
 
 
 def test_quadrant_coincident_is_error():
@@ -128,6 +133,42 @@ def test_candidates_include_destination_exclude_source():
         assert quadrant_of(topo.nodes[3].position, topo.nodes[m].position) is target
 
 
+def test_candidates_take_a_node_within_rounding_of_an_axis():
+    # node 2 lies 1 ulp above the source's horizontal axis, so in Q2 with the
+    # destination, where a rounded angle puts it on the axis, in Q3; node 3
+    # sits on the source and has no quadrant
+    topo = _manual_topology([(0.5, 0.5), (0.0, 0.6), (0.0, math.nextafter(0.5, 1)), (0.5, 0.5)],
+                            [(0, 1), (1, 2), (2, 3)])
+    assert quadrant_candidates(topo, 0, 1) == {1, 2}
+
+
+def _near(value):
+    # the source's coordinate, 1 ulp either side of it, or anywhere
+    return st.one_of(st.sampled_from([value, math.nextafter(value, 0.0),
+                                      math.nextafter(value, 1.0)]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _crowded_positions(draw):
+    source = draw(st.tuples(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                            st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)))
+    others = draw(st.lists(st.tuples(_near(source[0]), _near(source[1])),
+                           min_size=1, max_size=12))
+    return [source] + others
+
+
+@given(_crowded_positions())
+def test_candidates_match_the_per_node_oracle(positions):
+    topo = _manual_topology(positions, [(0, i) for i in range(1, len(positions))])
+    for destination in range(1, topo.n):
+        expected = quadrant_members(topo, 0, destination)
+        if expected is None:
+            with pytest.raises(CoincidentPointError):
+                quadrant_candidates(topo, 0, destination)
+        else:
+            assert quadrant_candidates(topo, 0, destination) == expected
+
+
 def test_candidates_validation():
     topo = generate_topology(10, 0.3, 1)
     with pytest.raises(ValueError):
@@ -145,6 +186,11 @@ def test_topology_invariant_validation():
         _manual_topology([(0.1, 0.1), (0.5, 0.5)], [(0, 1), (0, 1)])
     with pytest.raises(ValueError):
         _manual_topology([(0.1, 1.5)], [])
+    with pytest.raises(ValueError, match="node 0 position"):
+        _manual_topology([(0.1, math.nan)], [])
+    # the first bad node is named: here an int beyond float range, then a negative
+    with pytest.raises(ValueError, match="node 1 position"):
+        _manual_topology([(0.1, 0.1), (10 ** 400, 0.5), (0.5, -1.0)], [])
 
 
 _TRIANGLE = [(0.1, 0.1), (0.5, 0.5), (0.9, 0.2)]
