@@ -16,6 +16,7 @@ import bisect
 import itertools
 import random
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Callable
 
 import numpy as np
@@ -131,17 +132,40 @@ def path_is_valid(path: PathNodes, subgraph: Subgraph, source: int, destination:
     return all(v in adj.get(u, ()) for u, v in zip(path, path[1:]))
 
 
+def _randbelow(getrandbits: Callable[[int], int], n: int) -> int:
+    # A uniform int in [0, n), n > 0, by rejection over n.bit_length() bits,
+    # as CPython's Random._randbelow_with_getrandbits does (3.10-3.13).  With
+    # the getrandbits of a random.Random (what stream_py_rng returns), or of a
+    # subclass that keeps its getrandbits, this matches randrange(n): the same
+    # int and the same generator state after.  A subclass that overrides
+    # random() alone makes randrange use another rule.
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _walk(adj: dict[int, tuple[int, ...]], start: int, destination: int,
-          visited: set[int], randrange: Callable[[int], int]) -> PathNodes | None:
+          visited: set[int], getrandbits: Callable[[int], int]) -> PathNodes | None:
     # One uniform random walk over unvisited allowed neighbors; None on dead end.
-    # ``visited`` already holds ``start`` and is extended in place.
+    # ``visited`` already holds ``start`` and is extended in place.  The hot
+    # loop of both searches: filterfalse keeps the unvisited neighbors, in
+    # adjacency order, without a Python-level step per neighbor, and the pick
+    # is _randbelow inlined, so it draws what randrange(len(choices)) would.
     path = [start]
+    neighbors, seen = adj.get, visited.__contains__
     cur = start
     while cur != destination:
-        choices = [v for v in adj.get(cur, ()) if v not in visited]
-        if not choices:
+        choices = [*filterfalse(seen, neighbors(cur, ()))]
+        n = len(choices)
+        if not n:
             return None
-        cur = choices[randrange(len(choices))]
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        cur = choices[r]
         path.append(cur)
         visited.add(cur)
     return tuple(path)
@@ -156,20 +180,20 @@ def random_path(subgraph: Subgraph, source: int, destination: int,
     """
     if source not in subgraph.allowed or destination not in subgraph.allowed:
         return None
-    adj, randrange = subgraph.adj, rng.randrange
+    adj, getrandbits = subgraph.adj, rng.getrandbits
     for _ in range(WALK_RESTARTS):
-        found = _walk(adj, source, destination, {source}, randrange)
+        found = _walk(adj, source, destination, {source}, getrandbits)
         if found is not None:
             return found
     return None
 
 
 def _regrow(adj: dict[int, tuple[int, ...]], path: PathNodes, cut: int,
-            randrange: Callable[[int], int]) -> PathNodes | None:
+            getrandbits: Callable[[int], int]) -> PathNodes | None:
     # Keep path[:cut + 1] and walk a new suffix to the same destination that
     # avoids the kept prefix; None on a dead end.
     prefix = path[:cut + 1]
-    tail = _walk(adj, path[cut], path[-1], set(prefix), randrange)
+    tail = _walk(adj, path[cut], path[-1], set(prefix), getrandbits)
     return None if tail is None else prefix + tail[1:]
 
 
@@ -180,9 +204,9 @@ def neighbor_path(path: PathNodes, subgraph: Subgraph, rng: random.Random) -> Pa
     avoids the kept prefix.  If none of ``REGROW_RETRIES`` regrowths succeeds
     the original path is returned unchanged.
     """
-    adj, randrange = subgraph.adj, rng.randrange
+    adj, getrandbits = subgraph.adj, rng.getrandbits
     for _ in range(REGROW_RETRIES):
-        regrown = _regrow(adj, path, randrange(len(path) - 1), randrange)
+        regrown = _regrow(adj, path, _randbelow(getrandbits, len(path) - 1), getrandbits)
         if regrown is not None:
             return regrown
     return path
@@ -350,6 +374,12 @@ def abc_search(subgraph: Subgraph, source: int, destination: int,
     when an onlooker's candidate is accepted, so every onlooker selects from
     the current nectar of every source, exactly as if the weights were
     rebuilt before each selection.
+
+    Scouts almost never run at the default ``abc_limit`` (5x the colony
+    size, 500 trials): a source gets about two trials a cycle, one employed
+    and on average one onlooker, so about 60 over 30 cycles.  Only when the
+    onlookers crowd onto the few sources with a nonzero weight can one reach
+    the limit.
     """
     search = _Search(subgraph, source, destination, kb, rng, bw_threshold, observer)
     colony = cfg.colony_size
@@ -401,7 +431,7 @@ def ga_search(subgraph: Subgraph, source: int, destination: int,
               observer: Observer | None = None) -> RouteResult:
     """Genetic search: roulette selection, shared-node crossover, suffix-regrow mutation."""
     search = _Search(subgraph, source, destination, kb, rng, bw_threshold, observer)
-    adj, randrange = subgraph.adj, rng.randrange
+    adj, getrandbits = subgraph.adj, rng.getrandbits
 
     def mutate(path: PathNodes) -> PathNodes:
         # Per intermediate gene: with probability mutation_rate, regrow the
@@ -411,7 +441,7 @@ def ga_search(subgraph: Subgraph, source: int, destination: int,
             return path
         for i in range(1, len(path) - 1):
             if rng.random() < cfg.mutation_rate:
-                return _regrow(adj, path, i - 1, randrange) or path
+                return _regrow(adj, path, i - 1, getrandbits) or path
         return path
 
     # Each member's fitness is evaluated once, when it joins the population.

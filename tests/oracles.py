@@ -3,8 +3,9 @@
 These deliberately avoid the code paths they verify: the ODE oracle
 integrates numerically instead of using the closed form, the path oracle
 enumerates exhaustively instead of searching, the balance oracle solves
-a small LP, and the adjacency, grading and quadrant oracles walk links and
-nodes one at a time in plain Python instead of computing on arrays.
+a small LP, the adjacency, grading and quadrant oracles walk links and
+nodes one at a time in plain Python instead of computing on arrays, and
+the walk oracles draw with ``randrange`` instead of ``getrandbits``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from collections import deque
 import numpy as np
 
 from gradednet.grading import GradeRecord, KnowledgeBase, level1_priority
+from gradednet.optimizers import REGROW_RETRIES, WALK_RESTARTS
 from gradednet.topology import QosInputs
 from gradednet.traffic import ArrivalModel, sample_poisson_arrivals
 
@@ -171,6 +173,44 @@ def quadrant_members(topology, source: int, destination: int) -> set[int] | None
     if target is None:
         return None
     return {node.id for node in topology.nodes if node.id != source and quadrant(node) == target}
+
+
+def walk_by_randrange(adj, start: int, destination: int, visited: set[int], rng):
+    """One uniform random walk over unvisited neighbors, picked with
+    ``rng.randrange``; None on a dead end.  Extends ``visited`` in place."""
+    path = [start]
+    cur = start
+    while cur != destination:
+        choices = [v for v in adj.get(cur, ()) if v not in visited]
+        if not choices:
+            return None
+        cur = choices[rng.randrange(len(choices))]
+        path.append(cur)
+        visited.add(cur)
+    return tuple(path)
+
+
+def random_path_by_randrange(subgraph, source: int, destination: int, rng):
+    """``random_path`` built on ``walk_by_randrange``."""
+    if source not in subgraph.allowed or destination not in subgraph.allowed:
+        return None
+    for _ in range(WALK_RESTARTS):
+        found = walk_by_randrange(subgraph.adj, source, destination, {source}, rng)
+        if found is not None:
+            return found
+    return None
+
+
+def neighbor_path_by_randrange(path, subgraph, rng):
+    """``neighbor_path`` built on ``walk_by_randrange``: a random cut, then a
+    regrown suffix that avoids the kept prefix."""
+    for _ in range(REGROW_RETRIES):
+        cut = rng.randrange(len(path) - 1)
+        prefix = path[:cut + 1]
+        tail = walk_by_randrange(subgraph.adj, path[cut], path[-1], set(prefix), rng)
+        if tail is not None:
+            return prefix + tail[1:]
+    return path
 
 
 def roulette_by_scan(weights, rng) -> int:

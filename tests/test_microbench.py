@@ -1,5 +1,5 @@
-"""Micro-benchmarks of the search hot path on one fixed n=256 trial, and of
-grading one fixed n=1024 topology.
+"""Micro-benchmarks of the search hot path and of both searches on one fixed
+n=256 trial, and of grading one fixed n=1024 topology.
 
 The timings are informational (no thresholds); compare them across commits
 with ``pytest tests/test_microbench.py --benchmark-autosave`` and
@@ -12,6 +12,7 @@ import pytest
 
 from gradednet.bench import (
     STREAM_ABC,
+    STREAM_GA,
     STREAM_GRADING,
     prepare_trial,
     stream_np_rng,
@@ -22,6 +23,7 @@ from gradednet.config import RunConfig
 from gradednet.grading import build_knowledge_base
 from gradednet.optimizers import (
     abc_search,
+    ga_search,
     neighbor_path,
     path_fitness,
     path_is_valid,
@@ -82,6 +84,18 @@ def test_bench_abc_search(benchmark, trial):
                        {"bw_threshold": CONFIG.bw_threshold_mbps}),
         rounds=3, iterations=1)
     assert result.found
+
+
+def test_bench_ga_search(benchmark, trial):
+    topology, kb, subgraph, source, destination, start = trial
+    result = benchmark.pedantic(
+        ga_search,
+        setup=lambda: ((subgraph, source, destination, CONFIG.ga_config(), kb,
+                        stream_py_rng(SEED, STREAM_GA)),
+                       {"bw_threshold": CONFIG.bw_threshold_mbps}),
+        rounds=3, iterations=1)
+    assert result.found
+    assert path_is_valid(result.best_path, subgraph, source, destination)
 
 
 def test_bench_build_knowledge_base(benchmark):

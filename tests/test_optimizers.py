@@ -23,6 +23,7 @@ from gradednet.optimizers import (
     Fitness,
     GaConfig,
     Subgraph,
+    _randbelow,
     abc_search,
     ga_search,
     modified_crossover,
@@ -34,7 +35,14 @@ from gradednet.optimizers import (
 )
 from gradednet.topology import Link, Node, QosInputs, Topology, generate_topology
 from gradednet.traffic import sample_link_states
-from oracles import adjacency, bfs_hops, enumerate_best_bottleneck, roulette_by_scan
+from oracles import (
+    adjacency,
+    bfs_hops,
+    enumerate_best_bottleneck,
+    neighbor_path_by_randrange,
+    random_path_by_randrange,
+    roulette_by_scan,
+)
 
 
 def _topology(positions, links):
@@ -207,6 +215,38 @@ def test_path_fitness_rejects_malformed(case, data):
     if strangers:
         with pytest.raises(ValueError):
             path_fitness(path + (data.draw(st.sampled_from(strangers)),), topo, kb, threshold)
+
+
+def test_randbelow_draws_as_randrange():
+    # Every n up to 1100, and either side of each power of two up to 2**20,
+    # where the number of bits drawn changes.
+    sizes = [*range(1, 1101), *(2 ** k + d for k in range(1, 21) for d in (-1, 0, 1))]
+    for n in sizes:
+        rng, oracle = random.Random(n), random.Random(n)
+        for _ in range(3):
+            assert _randbelow(rng.getrandbits, n) == oracle.randrange(n)
+        assert rng.getstate() == oracle.getstate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_subgraph_walks(), st.integers(0, 2 ** 32 - 1), st.data())
+def test_walks_draw_as_randrange(case, seed, data):
+    # Small random subgraphs, with dead ends where a neighbor is not allowed
+    # and with nodes of degree 1; scouting to any node, then a chain of
+    # perturbations from a random start path, must give the oracle's paths
+    # and leave the generator where randrange leaves it.
+    _, _, sub, start, _ = case
+    destination = data.draw(st.integers(0, sub.topology.n - 1))
+    rng, oracle = random.Random(seed), random.Random(seed)
+    assert (random_path(sub, start[0], destination, rng)
+            == random_path_by_randrange(sub, start[0], destination, oracle))
+    assert rng.getstate() == oracle.getstate()
+    path = expected = start
+    for _ in range(3):
+        path = neighbor_path(path, sub, rng)
+        expected = neighbor_path_by_randrange(expected, sub, oracle)
+        assert path == expected
+        assert rng.getstate() == oracle.getstate()
 
 
 @st.composite
