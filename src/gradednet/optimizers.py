@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from itertools import filterfalse
@@ -22,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .grading import KnowledgeBase
-from .topology import Topology
+from .topology import EdgeArrays, Topology
 
 PathNodes = tuple[int, ...]
 Observer = Callable[[str, PathNodes], None]
@@ -96,30 +97,57 @@ class RouteResult:
         return self.best_path is not None
 
 
+class _Rows(dict):
+    # A member's row, built on its first lookup and then cached: one slice of
+    # the topology's CSR neighbors, masked by ``inside``, as ints in neighbor
+    # order.  Any other id, negative and out-of-range ones too, has no row.
+    # Only lookups by key build a row; .get does not.
+
+    def __init__(self, edges: EdgeArrays, allowed: frozenset[int], inside: np.ndarray):
+        super().__init__()
+        self.edges, self.allowed, self.inside = edges, allowed, inside
+
+    def __missing__(self, v: int) -> tuple[int, ...]:
+        if v not in self.allowed:
+            return ()
+        edges = self.edges
+        start = int(edges.starts[v])
+        row = edges.neighbor[start:start + int(edges.degree[v])]
+        self[v] = found = tuple(row[self.inside[row]].tolist())
+        return found
+
+
 class Subgraph:
-    """Adjacency, in id order, restricted to the allowed candidate set (plus the source)."""
+    """Adjacency, in id order, restricted to the allowed candidate set (plus the source).
+
+    ``rows[v]`` is member ``v``'s neighbors in the set, in neighbor order, and
+    ``()`` for any other id.  A row is built the first time it is looked up,
+    so a search builds only the rows of the nodes it reaches, and a query that
+    ends at the prune builds almost none.
+    """
 
     def __init__(self, topology: Topology, allowed: frozenset[int]):
         self.topology = topology
         self.allowed = allowed
-        members = sorted(allowed)
-        if members and not (0 <= members[0] and members[-1] < topology.n):
+        self.members = sorted(allowed)
+        if self.members and not (0 <= self.members[0] and self.members[-1] < topology.n):
             raise ValueError(f"allowed nodes must be in 0..{topology.n - 1}")
         inside = np.zeros(topology.n, dtype=bool)
-        inside[members] = True
-        edges = topology.edges
-        rows = [edges.neighbor[i:i + d] for i, d in zip(edges.starts[members].tolist(),
-                                                        edges.degree[members].tolist())]
-        self.adj: dict[int, tuple[int, ...]] = {
-            v: tuple(row[inside[row]].tolist()) for v, row in zip(members, rows)
-        }
+        inside[self.members] = True
+        self.rows = _Rows(topology.edges, allowed, inside)
 
     @classmethod
     def from_topology(cls, topology: Topology, candidates: set[int], source: int) -> "Subgraph":
         return cls(topology, frozenset(candidates) | frozenset((source,)))
 
+    @property
+    def adj(self) -> dict[int, tuple[int, ...]]:
+        """Every member's row, in id order (builds the rows not yet built)."""
+        rows = self.rows
+        return {v: rows[v] for v in self.members}
+
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj.get(v, ())
+        return self.rows[v]
 
 
 def path_is_valid(path: PathNodes, subgraph: Subgraph, source: int, destination: int) -> bool:
@@ -128,8 +156,8 @@ def path_is_valid(path: PathNodes, subgraph: Subgraph, source: int, destination:
         return False
     if len(set(path)) != len(path):
         return False
-    adj = subgraph.adj
-    return all(v in adj.get(u, ()) for u, v in zip(path, path[1:]))
+    rows = subgraph.rows
+    return all(v in rows[u] for u, v in zip(path, path[1:]))
 
 
 def _randbelow(getrandbits: Callable[[int], int], n: int) -> int:
@@ -146,18 +174,19 @@ def _randbelow(getrandbits: Callable[[int], int], n: int) -> int:
     return r
 
 
-def _walk(adj: dict[int, tuple[int, ...]], start: int, destination: int,
+def _walk(rows: dict[int, tuple[int, ...]], start: int, destination: int,
           visited: set[int], getrandbits: Callable[[int], int]) -> PathNodes | None:
-    # One uniform random walk over unvisited allowed neighbors; None on dead end.
-    # ``visited`` already holds ``start`` and is extended in place.  The hot
+    # One uniform random walk over unvisited allowed neighbors (``rows`` is a
+    # Subgraph's, so a lookup builds the row); None on dead end.  ``visited``
+    # already holds ``start`` and is extended in place.  The hot
     # loop of both searches: filterfalse keeps the unvisited neighbors, in
     # adjacency order, without a Python-level step per neighbor, and the pick
     # is _randbelow inlined, so it draws what randrange(len(choices)) would.
     path = [start]
-    neighbors, seen = adj.get, visited.__contains__
+    neighbors, seen = rows.__getitem__, visited.__contains__
     cur = start
     while cur != destination:
-        choices = [*filterfalse(seen, neighbors(cur, ()))]
+        choices = [*filterfalse(seen, neighbors(cur))]
         n = len(choices)
         if not n:
             return None
@@ -180,20 +209,20 @@ def random_path(subgraph: Subgraph, source: int, destination: int,
     """
     if source not in subgraph.allowed or destination not in subgraph.allowed:
         return None
-    adj, getrandbits = subgraph.adj, rng.getrandbits
+    rows, getrandbits = subgraph.rows, rng.getrandbits
     for _ in range(WALK_RESTARTS):
-        found = _walk(adj, source, destination, {source}, getrandbits)
+        found = _walk(rows, source, destination, {source}, getrandbits)
         if found is not None:
             return found
     return None
 
 
-def _regrow(adj: dict[int, tuple[int, ...]], path: PathNodes, cut: int,
+def _regrow(rows: dict[int, tuple[int, ...]], path: PathNodes, cut: int,
             getrandbits: Callable[[int], int]) -> PathNodes | None:
     # Keep path[:cut + 1] and walk a new suffix to the same destination that
     # avoids the kept prefix; None on a dead end.
     prefix = path[:cut + 1]
-    tail = _walk(adj, path[cut], path[-1], set(prefix), getrandbits)
+    tail = _walk(rows, path[cut], path[-1], set(prefix), getrandbits)
     return None if tail is None else prefix + tail[1:]
 
 
@@ -204,9 +233,9 @@ def neighbor_path(path: PathNodes, subgraph: Subgraph, rng: random.Random) -> Pa
     avoids the kept prefix.  If none of ``REGROW_RETRIES`` regrowths succeeds
     the original path is returned unchanged.
     """
-    adj, getrandbits = subgraph.adj, rng.getrandbits
+    rows, getrandbits = subgraph.rows, rng.getrandbits
     for _ in range(REGROW_RETRIES):
-        regrown = _regrow(adj, path, _randbelow(getrandbits, len(path) - 1), getrandbits)
+        regrown = _regrow(rows, path, _randbelow(getrandbits, len(path) - 1), getrandbits)
         if regrown is not None:
             return regrown
     return path
@@ -238,7 +267,8 @@ def roulette_select(weights: list[float] | tuple[float, ...], rng: random.Random
     """Fitness-proportional index selection; uniform when all weights are zero."""
     if len(weights) == 0:
         raise ValueError("weights must not be empty")
-    if any(w < 0 for w in weights):
+    # the test w < 0 on each weight, run in C; NaN and -0.0 are not negative
+    if any(map(operator.lt, weights, itertools.repeat(0.0))):
         raise ValueError("weights must be nonnegative")
     # the total is the last left-to-right partial sum, so the pick below can
     # reach it; sum() compensates on Python 3.12+ and could differ
@@ -431,7 +461,7 @@ def ga_search(subgraph: Subgraph, source: int, destination: int,
               observer: Observer | None = None) -> RouteResult:
     """Genetic search: roulette selection, shared-node crossover, suffix-regrow mutation."""
     search = _Search(subgraph, source, destination, kb, rng, bw_threshold, observer)
-    adj, getrandbits = subgraph.adj, rng.getrandbits
+    rows, getrandbits = subgraph.rows, rng.getrandbits
 
     def mutate(path: PathNodes) -> PathNodes:
         # Per intermediate gene: with probability mutation_rate, regrow the
@@ -441,7 +471,7 @@ def ga_search(subgraph: Subgraph, source: int, destination: int,
             return path
         for i in range(1, len(path) - 1):
             if rng.random() < cfg.mutation_rate:
-                return _regrow(adj, path, i - 1, getrandbits) or path
+                return _regrow(rows, path, i - 1, getrandbits) or path
         return path
 
     # Each member's fitness is evaluated once, when it joins the population.

@@ -217,11 +217,14 @@ def generate_topology(n: int, link_density: float, seed: int, *,
     return Topology(seed=seed, nodes=nodes, links=links)
 
 
-def _quadrant_numbers(dx, dy):
-    # The quadrant rule on offsets from the source, scalar or array: each
-    # offset's Quadrant value, 0 for the zero offset.
-    return np.select(((dx > 0) & (dy >= 0), (dx <= 0) & (dy > 0),
-                      (dx < 0) & (dy <= 0), (dx >= 0) & (dy < 0)), (1, 2, 3, 4), 0)
+# The quadrant rule, one sign test per quadrant on an offset (dx, dy) from the
+# source, scalar or array.  The zero offset passes none of them.
+_QUADRANT_RULES = {
+    Quadrant.Q1: lambda dx, dy: (dx > 0) & (dy >= 0),
+    Quadrant.Q2: lambda dx, dy: (dx <= 0) & (dy > 0),
+    Quadrant.Q3: lambda dx, dy: (dx < 0) & (dy <= 0),
+    Quadrant.Q4: lambda dx, dy: (dx >= 0) & (dy < 0),
+}
 
 
 def quadrant_of(source_pos: tuple[float, float], node_pos: tuple[float, float]) -> Quadrant:
@@ -233,10 +236,11 @@ def quadrant_of(source_pos: tuple[float, float], node_pos: tuple[float, float]) 
     starts there.  Exact sign tests on the offset (dx, dy) decide them, so
     a node within rounding of an axis still lands on its own side.
     """
-    number = int(_quadrant_numbers(node_pos[0] - source_pos[0], node_pos[1] - source_pos[1]))
-    if number == 0:
-        raise CoincidentPointError("node is at the source's position; its quadrant is undefined")
-    return Quadrant(number)
+    dx, dy = node_pos[0] - source_pos[0], node_pos[1] - source_pos[1]
+    for quadrant, rule in _QUADRANT_RULES.items():
+        if rule(dx, dy):
+            return quadrant
+    raise CoincidentPointError("node is at the source's position; its quadrant is undefined")
 
 
 def quadrant_candidates(topology: Topology, source: int, destination: int) -> set[int]:
@@ -255,7 +259,7 @@ def quadrant_candidates(topology: Topology, source: int, destination: int) -> se
 
     target = quadrant_of(topology.positions[source], topology.positions[destination])
     offset = topology.positions - topology.positions[source]
-    return set(np.flatnonzero(_quadrant_numbers(*offset.T) == target.value).tolist())
+    return set(np.flatnonzero(_QUADRANT_RULES[target](*offset.T)).tolist())
 
 
 def topology_to_dict(topology: Topology) -> dict:

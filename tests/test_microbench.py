@@ -1,5 +1,6 @@
 """Micro-benchmarks of the search hot path and of both searches on one fixed
-n=256 trial, and of grading one fixed n=1024 topology.
+n=256 trial, of grading one fixed n=1024 topology, and of one query on it
+that ends at the prune.
 
 The timings are informational (no thresholds); compare them across commits
 with ``pytest tests/test_microbench.py --benchmark-autosave`` and
@@ -20,8 +21,9 @@ from gradednet.bench import (
     trial_seed,
 )
 from gradednet.config import RunConfig
-from gradednet.grading import build_knowledge_base
+from gradednet.grading import build_knowledge_base, select_feasible
 from gradednet.optimizers import (
+    Subgraph,
     abc_search,
     ga_search,
     neighbor_path,
@@ -29,7 +31,7 @@ from gradednet.optimizers import (
     path_is_valid,
     random_path,
 )
-from gradednet.topology import generate_topology
+from gradednet.topology import generate_topology, quadrant_candidates
 from gradednet.traffic import sample_link_states
 
 CONFIG = RunConfig()
@@ -98,20 +100,47 @@ def test_bench_ga_search(benchmark, trial):
     assert path_is_valid(result.best_path, subgraph, source, destination)
 
 
-def test_bench_build_knowledge_base(benchmark):
+@pytest.fixture(scope="module")
+def topology_1024():
     # n=1024 has about 84k links; the topology's edge arrays are built with
-    # it, before timing, so a round is one regrade
-    topology = generate_topology(1024, CONFIG.link_density, 11,
-                                 capacity_mbps=CONFIG.max_bandwidth_mbps)
+    # it, before timing
+    return generate_topology(1024, CONFIG.link_density, 11,
+                             capacity_mbps=CONFIG.max_bandwidth_mbps)
+
+
+def _grading_inputs(topology):
+    rng = stream_np_rng(11, STREAM_GRADING)
+    states = sample_link_states(len(topology.links), rng,
+                                capacity_mbps=CONFIG.max_bandwidth_mbps,
+                                flow_rate_mbps=CONFIG.flow_rate_mbps, mu=CONFIG.mu)
+    return (topology, states, CONFIG.grading_config(), rng), {}
+
+
+def test_bench_build_knowledge_base(benchmark, topology_1024):
+    # a round is one regrade
+    topology = topology_1024
     assert topology.edges.degree.sum() == 2 * len(topology.links)
-
-    def inputs():
-        rng = stream_np_rng(11, STREAM_GRADING)
-        states = sample_link_states(len(topology.links), rng,
-                                    capacity_mbps=CONFIG.max_bandwidth_mbps,
-                                    flow_rate_mbps=CONFIG.flow_rate_mbps, mu=CONFIG.mu)
-        return (topology, states, CONFIG.grading_config(), rng), {}
-
-    kb = benchmark.pedantic(build_knowledge_base, setup=inputs, rounds=3, iterations=1)
+    kb = benchmark.pedantic(build_knowledge_base, setup=lambda: _grading_inputs(topology),
+                            rounds=3, iterations=1)
     assert len(kb.records) == topology.n
     assert len(kb.link_available_mbps) == len(topology.links)
+
+
+def test_bench_prune_unroutable(benchmark, topology_1024):
+    # One query whose destination is graded out, so it ends at the prune:
+    # select, the quadrant (535 graded nodes) and its Subgraph, then a GA
+    # search that finds no route.  At n=1024 most queries without a route end so.
+    topology = topology_1024
+    args, _ = _grading_inputs(topology)
+    kb = build_knowledge_base(*args)
+    source, destination = 3, 50
+
+    def query():
+        feasible = select_feasible(topology, kb, CONFIG.selection_mode)
+        subgraph = Subgraph.from_topology(
+            topology, quadrant_candidates(topology, source, destination) & feasible, source)
+        return ga_search(subgraph, source, destination, CONFIG.ga_config(), kb,
+                         stream_py_rng(SEED, STREAM_GA), bw_threshold=CONFIG.bw_threshold_mbps)
+
+    result = benchmark.pedantic(query, rounds=20, iterations=1)
+    assert not result.found

@@ -271,6 +271,23 @@ def test_subgraph_is_link_adjacency_restricted_to_allowed(case):
     assert all(type(v) is int for nbrs in sub.adj.values() for v in nbrs)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_topologies_and_allowed(), st.data())
+def test_subgraph_rows_built_on_first_use_match_the_oracle(case, data):
+    # Rows are built as they are first read, in any order and some of them
+    # twice; a non-member, a negative id or one past the last node has none
+    # and must not wrap around to another node's row.
+    topo, allowed = case
+    adj = adjacency(topo)
+    expected = {v: tuple(sorted(adj[v] & allowed)) if v in allowed else ()
+                for v in range(-1, topo.n + 2)}
+    sub = Subgraph(topo, allowed)
+    reads = data.draw(st.lists(st.sampled_from(sorted(expected)), max_size=3 * topo.n + 6))
+    for v in reads:
+        assert sub.neighbors(v) == expected[v]
+    assert list(sub.adj.items()) == [(v, expected[v]) for v in sorted(allowed)]
+
+
 def test_subgraph_rejects_unknown_nodes():
     topo = _line_topology()
     for allowed in ({0, 3}, {-1, 1}):
@@ -316,6 +333,15 @@ def test_roulette_validation():
         roulette_select([], random.Random(0))
     with pytest.raises(ValueError):
         roulette_select([-1.0, 2.0], random.Random(0))
+    # a NaN before or after a negative weight does not hide it
+    for weights in ([math.nan, -1.0], [-1.0, math.nan]):
+        with pytest.raises(ValueError):
+            roulette_select(weights, random.Random(0))
+
+
+def test_roulette_accepts_negative_zero():
+    assert roulette_select([-0.0], random.Random(0)) == 0
+    assert roulette_select([-0.0, 2.0], random.Random(0)) == 1
 
 
 # ---------------------------------------------------------------- crossover
