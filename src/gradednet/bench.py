@@ -145,7 +145,7 @@ def grade_topology(topology: Topology, config: RunConfig, seed: int) -> Knowledg
     """
     rng = stream_np_rng(seed, STREAM_GRADING)
     states = sample_link_states(
-        len(topology.links), rng,
+        len(topology.edges.capacity_mbps), rng,
         capacity_mbps=config.max_bandwidth_mbps,
         flow_rate_mbps=config.flow_rate_mbps, mu=config.mu,
     )

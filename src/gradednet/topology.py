@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from .errors import CoincidentPointError
 
 DEFAULT_CAPACITY_MBPS = 30.0
 DEFAULT_LIFETIME_SCALE = 100.0
+_DISTANCE_BLOCK_ROWS = 128
 
 
 class Quadrant(Enum):
@@ -98,66 +100,100 @@ class EdgeArrays:
     starts: np.ndarray
 
     @classmethod
-    def of(cls, n: int, links: list[Link]) -> "EdgeArrays":
-        """Check ``links`` between nodes ``0..n-1`` and build their edge arrays.
+    def of(cls, n: int, a: np.ndarray, b: np.ndarray, capacity: np.ndarray) -> "EdgeArrays":
+        """Check the links ``(a[i], b[i])`` of capacity ``capacity[i]`` between
+        nodes ``0..n-1`` and build their edge arrays.
 
         The first link, in link order, that is a self-loop, has an endpoint
         outside ``0..n-1``, a capacity not above 0 (NaN too), or repeats an
         earlier link either way round is a ValueError naming its first fault.
         """
-        a = np.array([link.a for link in links])  # dtype inferred: no int overflows
-        b = np.array([link.b for link in links])
-        capacity = np.array([link.capacity_mbps for link in links], dtype=float)
+        capacity_mbps = capacity.astype(float)
         unknown = (a < 0) | (a >= n) | (b < 0) | (b >= n)
         lo, hi = np.where(unknown, 0, np.sort([a, b], axis=0)).astype(np.int64)
-        repeated = np.ones(len(links), dtype=bool)
+        repeated = np.ones(len(a), dtype=bool)
         repeated[np.unique(lo * n + hi, return_index=True)[1]] = False  # first of each key
         faults = ((a == b, "self-loop on node {a}"),
                   (unknown, "link ({a}, {b}) references unknown node"),
-                  (~(capacity > 0), "link ({a}, {b}) capacity must be positive, got {capacity}"),
+                  (~(capacity_mbps > 0), "link ({a}, {b}) capacity must be positive, got {c}"),
                   (repeated, "duplicate link {key}"))
         found = [(int(np.argmax(bad)), rank) for rank, (bad, _) in enumerate(faults) if bad.any()]
         if found:
             i, rank = min(found)
-            link = links[i]
-            raise ValueError(faults[rank][1].format(
-                a=link.a, b=link.b, capacity=link.capacity_mbps, key=link.key()))
+            # the caller's own values, as Python numbers, whatever the arrays' dtypes
+            x, y, c = a.tolist()[i], b.tolist()[i], capacity.tolist()[i]
+            raise ValueError(faults[rank][1].format(a=x, b=y, c=c, key=(min(x, y), max(x, y))))
 
         node = np.concatenate((lo, hi))
         neighbor = np.concatenate((hi, lo))
         order = np.argsort(node * n + neighbor)  # keys are unique: one per directed edge
         degree = np.bincount(node, minlength=n)
         return cls(
-            capacity_mbps=capacity,
-            keys=[link.key() for link in links],
+            capacity_mbps=capacity_mbps,
+            keys=list(zip(lo.tolist(), hi.tolist())),
             node=node[order].astype(np.int32), neighbor=neighbor[order].astype(np.int32),
-            link=np.tile(np.arange(len(links), dtype=np.int32), 2)[order],
+            link=np.tile(np.arange(len(a), dtype=np.int32), 2)[order],
             degree=degree, starts=np.cumsum(degree) - degree,
         )
 
 
-@dataclass
 class Topology:
     """A generated network: nodes, undirected links, and their position (n x 2)
-    and edge arrays, built once."""
+    and edge arrays, built once.
+
+    ``==`` and ``repr`` are a dataclass's over ``seed``, ``nodes`` and
+    ``links``.  A generated topology builds its ``links`` from its edge arrays
+    the first time they are read, each ``a < b`` with the generator's capacity.
+    """
 
     seed: int
     nodes: list[Node]
-    links: list[Link]
-    positions: np.ndarray = field(init=False, repr=False, compare=False)
-    edges: EdgeArrays = field(init=False, repr=False, compare=False)
+    positions: np.ndarray
+    edges: EdgeArrays
 
-    def __post_init__(self) -> None:
-        ids = [node.id for node in self.nodes]
-        if ids != list(range(len(self.nodes))):
+    def __init__(self, seed: int, nodes: list[Node], links: list[Link]) -> None:
+        # dtypes inferred: no int overflows, and a message shows each value as given
+        self._build(seed, nodes, np.array([link.a for link in links]),
+                    np.array([link.b for link in links]),
+                    np.array([link.capacity_mbps for link in links]))
+        self.links = links
+
+    @classmethod
+    def _from_pairs(cls, seed: int, nodes: list[Node], a: np.ndarray, b: np.ndarray,
+                    capacity_mbps: float) -> "Topology":
+        """The topology whose links ``(a[i], b[i])`` all have ``capacity_mbps``."""
+        topology = cls.__new__(cls)
+        topology._capacity_mbps = capacity_mbps
+        topology._build(seed, nodes, a, b, np.full(len(a), capacity_mbps))
+        return topology
+
+    def _build(self, seed: int, nodes: list[Node], a: np.ndarray, b: np.ndarray,
+               capacity: np.ndarray) -> None:
+        """Check the nodes and the links once, into ``positions`` and ``edges``."""
+        self.seed, self.nodes = seed, nodes
+        ids = [node.id for node in nodes]
+        if ids != list(range(len(nodes))):
             raise ValueError("node ids must be dense 0..n-1 in order")
         # dtype inferred, so an int beyond float range compares exactly instead of overflowing
-        coords = np.array([node.position for node in self.nodes]).reshape(-1, 2)
+        coords = np.array([node.position for node in nodes]).reshape(-1, 2)
         inside = ((coords >= 0.0) & (coords <= 1.0)).all(axis=1)  # NaN is outside
         if not inside.all():
             raise ValueError(f"node {int(np.argmin(inside))} position outside the unit square")
         self.positions = coords.astype(float)
-        self.edges = EdgeArrays.of(self.n, self.links)
+        self.edges = EdgeArrays.of(self.n, a, b, capacity)
+
+    @cached_property
+    def links(self) -> list[Link]:
+        return [Link(a, b, self._capacity_mbps) for a, b in self.edges.keys]
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.seed, self.nodes, self.links) == (other.seed, other.nodes, other.links)
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(seed={self.seed!r}, nodes={self.nodes!r}, "
+                f"links={self.links!r})")
 
     @property
     def n(self) -> int:
@@ -187,34 +223,38 @@ def generate_topology(n: int, link_density: float, seed: int, *,
     lifetimes = rng.uniform(0.0, lifetime_scale, n)
 
     radius = math.sqrt(link_density / math.pi)
-    diff = points[:, None, :] - points[None, :, :]
-    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-    del diff  # n*n*2 floats, no longer needed
+    # Squared distances a block of rows at a time, so the n x n x 2 offsets
+    # never exist at once; each entry is computed as by one dense pass.
+    dist2 = np.empty((n, n))
+    for start in range(0, n, _DISTANCE_BLOCK_ROWS):
+        diff = points[start:start + _DISTANCE_BLOCK_ROWS, None, :] - points[None, :, :]
+        dist2[start:start + _DISTANCE_BLOCK_ROWS] = np.einsum("ijk,ijk->ij", diff, diff)
     within = dist2 <= radius * radius
     upper = np.triu(within, k=1)
     pairs = np.argwhere(upper)
-
-    links = [Link(a, b, capacity_mbps) for a, b in pairs.tolist()]
     degree = np.bincount(pairs.ravel(), minlength=n)
 
     # Attach every isolated node to its geometrically nearest peer.  The
     # degree is read live: an earlier attachment may have linked node i.
+    attached = []
     for i in np.flatnonzero(degree == 0).tolist():
         if degree[i] > 0:
             continue
         d2 = dist2[i].copy()
         d2[i] = np.inf
         j = int(np.argmin(d2))
-        links.append(Link(min(i, j), max(i, j), capacity_mbps))
+        attached.append((min(i, j), max(i, j)))
         degree[i] += 1
         degree[j] += 1
+    if attached:
+        pairs = np.concatenate((pairs, attached))
 
     nodes = [
         Node(i, float(points[i, 0]), float(points[i, 1]),
              QosInputs(network_lifetime=float(lifetimes[i])))
         for i in range(n)
     ]
-    return Topology(seed=seed, nodes=nodes, links=links)
+    return Topology._from_pairs(seed, nodes, pairs[:, 0], pairs[:, 1], capacity_mbps)
 
 
 # The quadrant rule, one sign test per quadrant on an offset (dx, dy) from the

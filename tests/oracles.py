@@ -4,8 +4,9 @@ These deliberately avoid the code paths they verify: the ODE oracle
 integrates numerically instead of using the closed form, the path oracle
 enumerates exhaustively instead of searching, the balance oracle solves
 a small LP, the adjacency, grading and quadrant oracles walk links and
-nodes one at a time in plain Python instead of computing on arrays, and
-the walk oracles draw with ``randrange`` instead of ``getrandbits``.
+nodes one at a time in plain Python instead of computing on arrays, the
+walk oracles draw with ``randrange`` instead of ``getrandbits``, and the
+eager generator builds its ``Link`` list from one dense distance pass.
 """
 
 from __future__ import annotations
@@ -17,7 +18,14 @@ import numpy as np
 
 from gradednet.grading import GradeRecord, KnowledgeBase, level1_priority
 from gradednet.optimizers import REGROW_RETRIES, WALK_RESTARTS
-from gradednet.topology import QosInputs
+from gradednet.topology import (
+    DEFAULT_CAPACITY_MBPS,
+    DEFAULT_LIFETIME_SCALE,
+    Link,
+    Node,
+    QosInputs,
+    Topology,
+)
 from gradednet.traffic import ArrivalModel, sample_poisson_arrivals
 
 
@@ -53,6 +61,37 @@ def rk4_load_grid(t0: np.ndarray, gamma: np.ndarray, mu: np.ndarray,
         times[i] = t
         loads[i] = y
     return times, loads
+
+
+def generate_topology_eager(n: int, link_density: float, seed: int, *,
+                            capacity_mbps: float = DEFAULT_CAPACITY_MBPS,
+                            lifetime_scale: float = DEFAULT_LIFETIME_SCALE) -> Topology:
+    """``generate_topology`` as a ``Link`` list: the dense n x n x 2 offsets give
+    every squared distance, and each link, isolated-node attachments included,
+    is a ``Link`` handed to ``Topology(seed, nodes, links)``."""
+    rng = np.random.default_rng(seed)
+    points = rng.random((n, 2))
+    lifetimes = rng.uniform(0.0, lifetime_scale, n)
+
+    radius = math.sqrt(link_density / math.pi)
+    diff = points[:, None, :] - points[None, :, :]
+    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
+    pairs = np.argwhere(np.triu(dist2 <= radius * radius, k=1))
+    links = [Link(a, b, capacity_mbps) for a, b in pairs.tolist()]
+    degree = np.bincount(pairs.ravel(), minlength=n)
+    for i in np.flatnonzero(degree == 0).tolist():
+        if degree[i] > 0:
+            continue
+        d2 = dist2[i].copy()
+        d2[i] = np.inf
+        j = int(np.argmin(d2))
+        links.append(Link(min(i, j), max(i, j), capacity_mbps))
+        degree[i] += 1
+        degree[j] += 1
+
+    nodes = [Node(i, float(points[i, 0]), float(points[i, 1]),
+                  QosInputs(network_lifetime=float(lifetimes[i]))) for i in range(n)]
+    return Topology(seed=seed, nodes=nodes, links=links)
 
 
 def adjacency(topology) -> dict[int, set[int]]:

@@ -8,8 +8,10 @@ from gradednet.bench import (
     emit_plot_data,
     load_records_csv,
     pick_endpoints,
+    prepare_trial,
     run_suite,
     run_trial,
+    search,
     summarize,
     summary_to_dict,
     trial_seed,
@@ -27,6 +29,20 @@ def test_trial_deterministic():
     b = run_trial(15, 42, FAST)
     assert a.to_row() == b.to_row()
     assert a.abc == b.abc and a.ga == b.ga
+
+
+def test_trial_protocol_builds_no_link(monkeypatch):
+    # generate, grade, prune and both searches run on the edge arrays alone
+    def no_link(*args):
+        raise AssertionError("a Link was built")
+
+    monkeypatch.setattr("gradednet.topology.Link", no_link)
+    seed = trial_seed(42, 64, 0)  # a trial with a route
+    trial = prepare_trial(64, seed, RunConfig())
+    assert search(trial, "abc", RunConfig(), seed).found
+    assert search(trial, "ga", RunConfig(), seed).found
+    with pytest.raises(AssertionError, match="a Link was built"):
+        trial.topology.links
 
 
 def test_trial_selected_subset():

@@ -1,6 +1,6 @@
 """Micro-benchmarks of the search hot path and of both searches on one fixed
-n=256 trial, of grading one fixed n=1024 topology, and of one query on it
-that ends at the prune.
+n=256 trial, of generating and of grading one fixed n=1024 topology, and of
+one query on it that ends at the prune.
 
 The timings are informational (no thresholds); compare them across commits
 with ``pytest tests/test_microbench.py --benchmark-autosave`` and
@@ -33,6 +33,7 @@ from gradednet.optimizers import (
 )
 from gradednet.topology import generate_topology, quadrant_candidates
 from gradednet.traffic import sample_link_states
+from oracles import generate_topology_eager
 
 CONFIG = RunConfig()
 N = 256
@@ -106,6 +107,15 @@ def topology_1024():
     # it, before timing
     return generate_topology(1024, CONFIG.link_density, 11,
                              capacity_mbps=CONFIG.max_bandwidth_mbps)
+
+
+def test_bench_generate_topology(benchmark):
+    # a round is one generation: positions, linked pairs and the checked edge arrays
+    args = (1024, CONFIG.link_density, 11)
+    topology = benchmark.pedantic(generate_topology, args=args,
+                                  kwargs={"capacity_mbps": CONFIG.max_bandwidth_mbps},
+                                  rounds=1, iterations=1)
+    assert len(topology.edges.keys) == len(generate_topology_eager(*args).links)
 
 
 def _grading_inputs(topology):

@@ -1,12 +1,15 @@
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradednet.errors import CoincidentPointError
 from gradednet.topology import (
+    EdgeArrays,
     Link,
     Node,
     QosInputs,
@@ -19,7 +22,7 @@ from gradednet.topology import (
     save_topology,
     topology_to_dict,
 )
-from oracles import adjacency, quadrant_members
+from oracles import adjacency, generate_topology_eager, quadrant_members
 
 
 def _manual_topology(positions, links, seed=0):
@@ -61,6 +64,44 @@ def test_generate_no_isolated_nodes():
         topo = generate_topology(40, 0.02, seed)
         adj = adjacency(topo)
         assert all(len(adj[i]) >= 1 for i in range(topo.n))
+
+
+def _assert_generated_as_eagerly(n, density, seed):
+    topo, eager = generate_topology(n, density, seed), generate_topology_eager(n, density, seed)
+    assert topo.nodes == eager.nodes
+    assert topo.links == eager.links
+    for name in (f.name for f in dataclasses.fields(EdgeArrays)):
+        built, expected = getattr(topo.edges, name), getattr(eager.edges, name)
+        if isinstance(expected, list):
+            assert built == expected
+        else:
+            assert built.dtype == expected.dtype and np.array_equal(built, expected), name
+    assert repr(topo) == repr(eager)
+    assert Topology(topo.seed, topo.nodes, list(topo.links)) == topo
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 80), st.sampled_from([0.005, 0.02, 0.05, 0.15]),
+       st.integers(0, 2 ** 32 - 1))
+def test_generate_matches_the_eager_link_list(n, density, seed):
+    # the sparse densities leave isolated nodes to attach
+    _assert_generated_as_eagerly(n, density, seed)
+
+
+@pytest.mark.parametrize("n", [1024, 1500])  # 1500 rows end in a part block of distances
+def test_generate_matches_the_eager_link_list_at_scale(n):
+    _assert_generated_as_eagerly(n, 0.2, 11)
+
+
+def test_generated_links_keep_the_given_capacity(tmp_path):
+    # an int capacity, as an int max_bandwidth_mbps in a JSON config gives, is written as an int
+    path = tmp_path / "topology.json"
+    for seed in range(3):
+        for capacity, written in ((30, "30"), (30.0, "30.0")):
+            save_topology(generate_topology(40, 0.05, seed, capacity_mbps=capacity), path)
+            links = json.loads(path.read_text())["links"]
+            assert {repr(link["capacity_mbps"]) for link in links} == {written}
+        assert load_topology(path) == generate_topology(40, 0.05, seed)
 
 
 def test_generate_positions_in_unit_square():
