@@ -140,15 +140,14 @@ class PreparedTrial:
 def grade_topology(topology: Topology, config: RunConfig, seed: int) -> KnowledgeBase:
     """Sample link states, then grade every node, both from the seed's grading stream.
 
-    The two stages draw from one numpy stream in this order, so the same
-    topology, config and seed always give the identical knowledge base.
+    Each link's load is drawn over that link's own capacity.  The two stages
+    draw from one numpy stream in this order, so the same topology, config
+    and seed always give the identical knowledge base.
     """
     rng = stream_np_rng(seed, STREAM_GRADING)
-    states = sample_link_states(
-        len(topology.edges.capacity_mbps), rng,
-        capacity_mbps=config.max_bandwidth_mbps,
-        flow_rate_mbps=config.flow_rate_mbps, mu=config.mu,
-    )
+    capacity = topology.edges.capacity_mbps
+    states = sample_link_states(len(capacity), rng, capacity_mbps=capacity,
+                                flow_rate_mbps=config.flow_rate_mbps, mu=config.mu)
     return build_knowledge_base(topology, states, config.grading_config(), rng)
 
 

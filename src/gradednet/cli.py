@@ -1,9 +1,9 @@
 """Command-line front end: generate, grade, route, bench.
 
 Exit codes: 0 on success (a "path not available" outcome is a result, not a
-failure), 1 on usage or validation errors, 2 on I/O failures.  Every command
-writes its fully resolved configuration next to its outputs so any artifact
-can be reproduced from the directory alone.
+failure), 1 on usage or validation errors and on running out of memory, 2 on
+I/O failures.  Every command writes its fully resolved configuration next to
+its outputs so any artifact can be reproduced from the directory alone.
 """
 
 from __future__ import annotations
@@ -103,10 +103,10 @@ def _prepare_out(config: RunConfig) -> Path:
 
 
 def cmd_generate(config: RunConfig) -> int:
-    out = _prepare_out(config)
     topology = generate_topology(config.n, config.link_density, config.seed,
                                  capacity_mbps=config.max_bandwidth_mbps,
                                  lifetime_scale=config.lifetime_scale)
+    out = _prepare_out(config)
     save_topology(topology, out / "topology.json")
     print(f"wrote {out / 'topology.json'}: {topology.n} nodes, {len(topology.links)} links")
     return 0
@@ -230,6 +230,9 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_bench(config)  # the parser admits no other command
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -17,10 +17,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyKnowledgeBaseError, InfeasibleBalanceError, SaturatedChannelError
-from .topology import DEFAULT_LIFETIME_SCALE, QosInputs, Topology, write_json
+from .topology import DEFAULT_LIFETIME_SCALE, Topology, write_json
 from .traffic import LinkState, available_bandwidth, load_fraction
 
 SELECTION_MODES = ("best-classes", "literal")
+
+# The largest mean numpy's Generator.poisson draws from; it raises "lam value
+# too large" above it.  This is numpy's POISSON_LAM_MAX (numpy/random/_common.pyx):
+# int64 max - 10 * sqrt(int64 max).
+POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
 
 
 @dataclass
@@ -81,6 +86,10 @@ class GradingConfig:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} ({meaning}) must be positive, "
                                  f"got {getattr(self, name)!r}")
+        if not self.alpha * self.arrival_horizon_s <= POISSON_LAM_MAX:
+            raise ValueError(f"alpha * arrival_horizon_s (mean arrivals per window) must be "
+                             f"at most {POISSON_LAM_MAX!r}, got {self.alpha!r} * "
+                             f"{self.arrival_horizon_s!r}")
         if self.grade_time_s < 0:
             raise ValueError(f"grade_time_s must be >= 0, got {self.grade_time_s!r}")
         if self.lifetime_scale < 0:
@@ -89,24 +98,19 @@ class GradingConfig:
             raise ValueError(f"resource_prob must be in [0, 1], got {self.resource_prob!r}")
 
 
-def level1_priority(q: QosInputs, congested: bool, delayed: bool,
+def level1_priority(lifetime, density, congested, resource_available, delayed, *,
                     density_threshold: int = GradingConfig.density_threshold,
-                    lifetime_threshold: float = GradingConfig.lifetime_threshold) -> int:
-    """Classify a node into priority 1 (best) .. 6 (worst).
+                    lifetime_threshold: float = GradingConfig.lifetime_threshold) -> np.ndarray:
+    """Classify nodes into priority 1 (best) .. 6 (worst), one entry per node.
 
     Checks nest in order: lifetime above threshold, density below threshold,
     no congestion, resources available, no delay.  The first failing check
-    decides the class.
+    decides the class; a NaN lifetime fails the first.  Every argument is a
+    per-node column or a scalar.
     """
-    if not q.network_lifetime > lifetime_threshold:
-        return 6
-    if not q.node_density < density_threshold:
-        return 5
-    if congested:
-        return 4
-    if not q.resource_available:
-        return 3
-    return 2 if delayed else 1
+    passed = (np.greater(lifetime, lifetime_threshold), np.less(density, density_threshold),
+              np.logical_not(congested), resource_available, np.logical_not(delayed))
+    return np.select([np.logical_not(check) for check in passed], (6, 5, 4, 3, 2), 1)
 
 
 @dataclass
@@ -279,6 +283,8 @@ def build_knowledge_base(topology: Topology,
         if not degree:
             continue
         if degree not in uniform:
+            # The renormalized vector, not the bare 1/degree one, is what the
+            # recorded multinomial draws were made with; keep it.
             probs = np.full(degree, 1.0 / degree)
             uniform[degree] = probs / probs.sum()
         total = int(rng.poisson(mean_arrivals))
@@ -303,17 +309,12 @@ def build_knowledge_base(topology: Topology,
         available[linked] = np.minimum.reduceat(free[link], first)
     delayed = linked & (delay > config.delay_multiplier / min_channel)
 
-    for v, lifetime, density, resource, is_congested, is_delayed, delay_s, avail, grade_v in zip(
-            range(n), lifetimes.tolist(), densities.tolist(), resources.tolist(),
-            congested.tolist(), delayed.tolist(), delay.tolist(), available.tolist(),
-            grade.tolist()):
-        qos = QosInputs(network_lifetime=lifetime, node_density=density,
-                        resource_available=resource)
-        priority = level1_priority(qos, is_congested, is_delayed,
-                                   density_threshold=config.density_threshold,
-                                   lifetime_threshold=config.lifetime_threshold)
-        kb.records[v] = GradeRecord(node=v, priority=priority, delay_s=delay_s,
-                                    available_bw_mbps=avail, grade=grade_v)
+    priority = level1_priority(lifetimes, densities, congested, resources, delayed,
+                               density_threshold=config.density_threshold,
+                               lifetime_threshold=config.lifetime_threshold)
+    kb.records = {v: GradeRecord(node=v, priority=p, delay_s=d, available_bw_mbps=a, grade=g)
+                  for v, p, d, a, g in zip(range(n), priority.tolist(), delay.tolist(),
+                                           available.tolist(), grade.tolist())}
     return kb
 
 

@@ -37,7 +37,10 @@ class Quadrant(Enum):
 
 @dataclass
 class QosInputs:
-    """Raw per-node QoS observations consumed by grading.
+    """Raw per-node QoS observations, stored in and read from ``topology.json``.
+
+    Grading does not read them: it draws its own lifetime and resource
+    availability per node and computes density from its own arrival draws.
 
     network_lifetime:   remaining lifetime, abstract units
     node_density:       packets that arrived at the node in the last window

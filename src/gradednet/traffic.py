@@ -44,29 +44,6 @@ class LinkState:
             raise ValueError(f"arrival rate must be nonnegative, got {np.min(self.gamma)}")
 
 
-@dataclass
-class ArrivalModel:
-    """External Poisson job arrivals at one node, routed to its neighbors.
-
-    ``routing_probs[j]`` is the probability that an arriving job is handed to
-    the j-th neighbor; the vector must sum to 1.
-    """
-
-    alpha: float
-    routing_probs: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ValueError(f"arrival rate alpha must be positive, got {self.alpha}")
-        self.routing_probs = tuple(float(p) for p in self.routing_probs)
-        if not self.routing_probs:
-            raise ValueError("routing probability vector must not be empty")
-        if any(p < 0 for p in self.routing_probs):
-            raise ValueError("routing probabilities must be nonnegative")
-        if abs(sum(self.routing_probs) - 1.0) > 1e-9:
-            raise ValueError(f"routing probabilities must sum to 1, got {sum(self.routing_probs)}")
-
-
 def link_load_at(state: LinkState, t: float):
     """Load on each link after ``t`` seconds of exponential relaxation.
 
@@ -116,37 +93,20 @@ def traffic_intensity(packet_size_bits: int, load: float, available_bps: float) 
     return packet_size_bits * load / available_bps
 
 
-def sample_poisson_arrivals(model: ArrivalModel, horizon: float,
-                            rng: np.random.Generator) -> np.ndarray:
-    """Sample one window of external arrivals and route them to neighbors.
-
-    Returns per-neighbor arrival counts aligned with ``model.routing_probs``.
-    The total count is Poisson(alpha * horizon); each arrival picks a
-    neighbor independently.
-    """
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    if not model.routing_probs:
-        raise ValueError("routing probability vector must not be empty")
-    total = int(rng.poisson(model.alpha * horizon))
-    probs = np.asarray(model.routing_probs, dtype=float)
-    probs = probs / probs.sum()
-    return rng.multinomial(total, probs)
-
-
 def sample_link_states(n_links: int, rng: np.random.Generator, *,
-                       capacity_mbps: float = DEFAULT_CAPACITY_MBPS,
+                       capacity_mbps=DEFAULT_CAPACITY_MBPS,
                        flow_rate_mbps: float = 1.0, mu: float = 1.0) -> LinkState:
     """Draw an initial load state for every link in a topology, as one columnar record.
 
     Initial loads and arrival rates are uniform over the range a link can
     actually carry, so free fractions spread across [0, 1] and bottleneck
-    comparisons between paths are informative.
+    comparisons between paths are informative.  ``capacity_mbps`` is one
+    capacity for every link or an array of each link's own.
     """
     if n_links < 0:
         raise ValueError("link count must be nonnegative")
-    if capacity_mbps <= 0:
-        raise ValueError(f"capacity must be positive, got {capacity_mbps}")
+    if np.any(np.less_equal(capacity_mbps, 0)):
+        raise ValueError(f"capacity must be positive, got {np.min(capacity_mbps)}")
     if flow_rate_mbps <= 0:
         raise ValueError(f"flow rate must be positive, got {flow_rate_mbps}")
     max_flows = capacity_mbps / flow_rate_mbps

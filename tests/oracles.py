@@ -7,6 +7,9 @@ a small LP, the adjacency, grading and quadrant oracles walk links and
 nodes one at a time in plain Python instead of computing on arrays, the
 walk oracles draw with ``randrange`` instead of ``getrandbits``, and the
 eager generator builds its ``Link`` list from one dense distance pass.
+The grading oracle takes only the record types from ``gradednet.grading``:
+it classifies each node with its own nested checks and makes its own
+Poisson and multinomial arrival draws.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from collections import deque
 
 import numpy as np
 
-from gradednet.grading import GradeRecord, KnowledgeBase, level1_priority
+from gradednet.grading import GradeRecord, KnowledgeBase
 from gradednet.optimizers import REGROW_RETRIES, WALK_RESTARTS
 from gradednet.topology import (
     DEFAULT_CAPACITY_MBPS,
@@ -26,7 +29,6 @@ from gradednet.topology import (
     QosInputs,
     Topology,
 )
-from gradednet.traffic import ArrivalModel, sample_poisson_arrivals
 
 
 def rk4_load(t0: float, gamma: float, mu: float, t_end: float,
@@ -270,9 +272,11 @@ def grade_nodes_one_by_one(topology, link_states, config, rng):
     """``build_knowledge_base`` as a per-link, then per-node, Python loop.
 
     Every sum is an explicit left-to-right loop over a node's links in
-    neighbor order.  Draws from ``rng`` in the same order as the
-    implementation: lifetimes, resources, then one Poisson total and one
-    multinomial split per linked node, in id order.
+    neighbor order, and the level-1 checks are nested ``if``s.  Draws from
+    ``rng`` in the same order as the implementation: lifetimes, resources,
+    then one Poisson total and one uniform multinomial split per linked
+    node, in id order.  It imports no grading rule or arrival helper from
+    the code it checks.
     """
     m = len(topology.links)
     t0s = np.broadcast_to(link_states.t0, (m,)).tolist()
@@ -298,10 +302,11 @@ def grade_nodes_one_by_one(topology, link_states, config, rng):
         nbrs = sorted(adj[v])
         if not nbrs:
             continue
-        model = ArrivalModel(config.alpha, tuple(1.0 / len(nbrs) for _ in nbrs))
-        counts = sample_poisson_arrivals(model, config.arrival_horizon_s, rng)
-        for j, count in zip(nbrs, counts):
-            densities[j] += int(count)
+        total = int(rng.poisson(config.alpha * config.arrival_horizon_s))
+        probs = np.array([1.0 / len(nbrs)] * len(nbrs))
+        counts = rng.multinomial(total, probs / probs.sum())
+        for j, count in zip(nbrs, counts.tolist()):
+            densities[j] += count
 
     for v in range(n):
         frees, fracs, lams, caps = [], [], [], []
@@ -327,11 +332,18 @@ def grade_nodes_one_by_one(topology, link_states, config, rng):
             available = min(frees)
         else:
             grade, congested, delayed, delay, available = 0.0, False, False, 0.0, 0.0
-        qos = QosInputs(network_lifetime=float(lifetimes[v]), node_density=densities[v],
-                        resource_available=bool(resources[v]))
-        priority = level1_priority(qos, congested, delayed,
-                                   density_threshold=config.density_threshold,
-                                   lifetime_threshold=config.lifetime_threshold)
+        if not float(lifetimes[v]) > config.lifetime_threshold:
+            priority = 6
+        elif not densities[v] < config.density_threshold:
+            priority = 5
+        elif congested:
+            priority = 4
+        elif not resources[v]:
+            priority = 3
+        elif delayed:
+            priority = 2
+        else:
+            priority = 1
         kb.records[v] = GradeRecord(node=v, priority=priority, delay_s=delay,
                                     available_bw_mbps=available, grade=grade)
     return kb

@@ -1,8 +1,14 @@
+import dataclasses
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import gradednet.cli
 from gradednet.cli import main
 from gradednet.config import RunConfig
 
@@ -506,3 +512,153 @@ def _fast_config(tmp_path) -> str:
             "max_cycles": 6, "generations": 6,
         }))
     return str(path)
+
+
+def test_grade_draws_link_loads_over_the_topology_capacities(tmp_path, capsys):
+    # the topology's own 60 Mbps links bound the load draws, whatever
+    # max_bandwidth_mbps the grading run is given
+    cfg_path = tmp_path / "wide.json"
+    cfg_path.write_text(json.dumps({"max_bandwidth_mbps": 60}))
+    assert main(["generate", "--n", "40", "--seed", "5", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "gen")]) == 0
+    topology = str(tmp_path / "gen" / "topology.json")
+    assert main(["grade", "--topology", topology, "--seed", "5", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "with")]) == 0
+    assert main(["grade", "--topology", topology, "--seed", "5",
+                 "--out", str(tmp_path / "without")]) == 0
+    assert ((tmp_path / "with" / "grade_dump.json").read_bytes()
+            == (tmp_path / "without" / "grade_dump.json").read_bytes())
+
+
+@pytest.mark.parametrize("doc", [{"alpha": 1e20}, {"arrival_horizon_s": 1e300},
+                                 {"alpha": 1e10, "arrival_horizon_s": 1e10}])
+def test_mean_arrivals_beyond_numpy_poisson_exits_one(tmp_path, capsys, doc):
+    _run(capsys, "generate", "--n", "12", "--seed", "3", "--out", str(tmp_path / "gen"))
+    topology = str(tmp_path / "gen" / "topology.json")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    for command in ("generate", "grade", "route", "bench"):
+        flags = [item for pair in _command_args(command, topology).items() for item in pair]
+        code, _, err = _run(capsys, command, *flags, "--config", str(cfg_path),
+                            "--out", str(out))
+        assert code == 1, command
+        assert err.startswith("error:") and "alpha * arrival_horizon_s" in err, command
+        assert not out.exists(), command
+
+
+def test_generate_out_of_memory_exits_one_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.46 TiB for an array")
+
+    monkeypatch.setattr(gradednet.cli, "generate_topology", exhausted)
+    out = tmp_path / "out"
+    code, _, err = _run(capsys, "generate", "--n", "100000000000", "--out", str(out))
+    assert code == 1
+    assert err.startswith("error:") and "memory" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------- input contract fuzz
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from([10 ** 400, -10 ** 400]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def _check_exit(code, err, out: Path) -> None:
+    """The contract of main(): exit 0, 1 or 2, never a traceback, and a
+    validation failure writes nothing."""
+    assert code in (0, 1, 2), (code, err)
+    assert "Traceback" not in err, err
+    if code == 1:
+        assert err.startswith("error:"), err
+        assert not out.exists(), err
+
+
+@pytest.fixture(scope="module")
+def small_topology_doc(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz") / "gen"
+    assert main(["generate", "--n", "12", "--seed", "3", "--out", str(out)]) == 0
+    return json.loads((out / "topology.json").read_text())
+
+
+def _topology_paths(doc) -> list[tuple]:
+    """Every place in a topology document that holds one value: a top-level
+    field, a whole node or link entry, or one field of one entry."""
+    paths = [(key,) for key in doc]
+    for section in ("nodes", "links"):
+        for i, entry in enumerate(doc[section]):
+            paths.append((section, i))
+            paths.extend((section, i, key) for key in entry)
+    return paths
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_grade_fuzz_one_field_replaced(small_topology_doc, capsys, data):
+    path = data.draw(st.sampled_from(_topology_paths(small_topology_doc)), label="path")
+    value = data.draw(_JSON_VALUES, label="value")
+    doc = json.loads(json.dumps(small_topology_doc))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    with tempfile.TemporaryDirectory() as work:
+        topology = Path(work) / "topology.json"
+        topology.write_text(json.dumps(doc))
+        out = Path(work) / "out"
+        code, _, err = _run(capsys, "grade", "--topology", str(topology), "--seed", "3",
+                            "--out", str(out))
+        _check_exit(code, err, out)
+
+
+# A value of the wrong JSON type for each kind of RunConfig field.
+_WRONG_TYPE = {
+    "int": st.floats() | st.text(max_size=6) | st.booleans() | st.none()
+    | st.lists(st.integers(), max_size=2),
+    "float": st.text(max_size=6) | st.booleans() | st.none() | st.lists(st.floats(), max_size=2)
+    | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    "str": st.integers() | st.floats() | st.booleans() | st.none()
+    | st.lists(st.text(max_size=3), max_size=2),
+    "int | None": st.floats() | st.text(max_size=6) | st.booleans()
+    | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    "tuple[int, ...]": st.integers() | st.floats() | st.text(max_size=6) | st.none()
+    | st.lists(st.floats() | st.text(max_size=3) | st.booleans(), min_size=1, max_size=3),
+}
+_FIELD_KINDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+
+
+@st.composite
+def _invalid_config_docs(draw):
+    """A config document that holds only invalid entries: a non-object, or an
+    object whose every key is unknown or holds a value of the wrong type."""
+    kind = draw(st.sampled_from(["non-object", "unknown keys", "wrong types"]))
+    if kind == "non-object":
+        return draw(_JSON_VALUES.filter(lambda value: not isinstance(value, dict)))
+    if kind == "unknown keys":
+        keys = st.text(max_size=8).filter(
+            lambda key: key not in _FIELD_KINDS and key != "refresh_period_s")
+        return draw(st.dictionaries(keys, _JSON_VALUES, min_size=1, max_size=3))
+    names = draw(st.lists(st.sampled_from(sorted(_FIELD_KINDS)), min_size=1, max_size=3,
+                          unique=True))
+    return {name: draw(_WRONG_TYPE[_FIELD_KINDS[name]], label=name) for name in names}
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_invalid_config_docs())
+def test_bench_fuzz_invalid_config_documents(capsys, doc):
+    with tempfile.TemporaryDirectory() as work:
+        cfg_path = Path(work) / "config.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = Path(work) / "out"
+        code, _, err = _run(capsys, "bench", "--node-counts", "16", "--seeds-per-n", "1",
+                            "--config", str(cfg_path), "--out", str(out))
+        _check_exit(code, err, out)
+        assert code == 1, (doc, err)

@@ -27,45 +27,46 @@ from gradednet.traffic import LinkState, sample_link_states
 from oracles import grade_nodes_one_by_one
 
 
-def _qos(lifetime=90.0, density=0, resource=True):
-    return QosInputs(network_lifetime=lifetime, node_density=density,
-                     resource_available=resource)
+def _qos():
+    return QosInputs(network_lifetime=90.0)
 
 
 # ---------------------------------------------------------------- level 1
 
-def test_priority_all_pass_is_one():
-    assert level1_priority(_qos(), congested=False, delayed=False) == 1
+@pytest.mark.parametrize(
+    "lifetime, density, congested, resource, delayed, lifetime_threshold, expected", [
+        pytest.param(90.0, 0, False, True, False, 35.0, 1, id="all_pass_is_one"),
+        pytest.param(90.0, 0, False, True, True, 35.0, 2, id="delay_is_two"),
+        pytest.param(90.0, 0, False, False, False, 35.0, 3, id="no_resource_is_three"),
+        pytest.param(90.0, 0, True, False, True, 35.0, 4, id="congested_is_four"),
+        pytest.param(90.0, 5, True, True, True, 35.0, 5, id="dense_is_five"),
+        pytest.param(0.0, 0, False, True, False, 20.0, 6, id="dead_is_six"),
+        # zero lifetime fails even a zero threshold (strictly above required)
+        pytest.param(0.0, 0, False, True, False, 0.0, 6, id="dead_at_zero_threshold_is_six"),
+        # the lifetime check dominates everything else
+        pytest.param(1.0, 99, True, False, True, 20.0, 6, id="check_order"),
+    ])
+def test_priority(lifetime, density, congested, resource, delayed, lifetime_threshold,
+                  expected):
+    # plain Python scalars in, one plain int out; a Python bool is never
+    # bit-inverted into -2
+    priority = level1_priority(lifetime, density, congested, resource, delayed,
+                               lifetime_threshold=lifetime_threshold).tolist()
+    assert priority == expected and type(priority) is int
 
 
-def test_priority_delay_is_two():
-    assert level1_priority(_qos(), congested=False, delayed=True) == 2
-
-
-def test_priority_no_resource_is_three():
-    assert level1_priority(_qos(resource=False), congested=False, delayed=False) == 3
-
-
-def test_priority_congested_is_four():
-    assert level1_priority(_qos(resource=False), congested=True, delayed=True) == 4
-
-
-def test_priority_dense_is_five():
-    assert level1_priority(_qos(density=5), congested=True, delayed=True) == 5
-
-
-def test_priority_dead_is_six():
-    assert level1_priority(_qos(lifetime=0.0), congested=False, delayed=False,
-                           lifetime_threshold=20.0) == 6
-    # zero lifetime fails even a zero threshold (strictly above required)
-    assert level1_priority(_qos(lifetime=0.0), congested=False, delayed=False,
-                           lifetime_threshold=0.0) == 6
-
-
-def test_priority_check_order():
-    # the lifetime check dominates everything else
-    q = _qos(lifetime=1.0, density=99, resource=False)
-    assert level1_priority(q, congested=True, delayed=True, lifetime_threshold=20.0) == 6
+def test_priority_batch_gives_every_class():
+    # one column per check: the first failing check decides each node's
+    # class, whatever later checks fail, and a NaN lifetime fails the first
+    priority = level1_priority(
+        np.array([90.0, 90.0, 90.0, 90.0, 90.0, 0.0, math.nan]),
+        np.array([0, 0, 0, 0, 5, 9, 0]),
+        np.array([False, False, False, True, True, True, False]),
+        np.array([True, True, False, False, True, False, True]),
+        np.array([False, True, False, True, True, True, False]),
+        density_threshold=5, lifetime_threshold=20.0)
+    assert priority.tolist() == [1, 2, 3, 4, 5, 6, 6]
+    assert all(type(p) is int for p in priority.tolist())
 
 
 # ---------------------------------------------------------------- delay

@@ -1,16 +1,13 @@
-import math
-
 import numpy as np
 import pytest
 
 from gradednet.errors import CongestedLinkError
 from gradednet.traffic import (
-    ArrivalModel,
     LinkState,
     available_bandwidth,
     link_load_at,
     load_fraction,
-    sample_poisson_arrivals,
+    sample_link_states,
     traffic_intensity,
 )
 from oracles import rk4_load
@@ -126,36 +123,19 @@ def test_traffic_intensity_congested_link():
         traffic_intensity(1600, 1.0, 0.0)
 
 
-def test_poisson_vanishing_rate():
-    rng = np.random.default_rng(0)
-    model = ArrivalModel(0.0001, (1.0,))
-    counts = [sample_poisson_arrivals(model, 1.0, rng).sum() for _ in range(200)]
-    assert sum(counts) <= 1
-
-
-def test_poisson_single_neighbor_gets_all():
-    rng = np.random.default_rng(1)
-    model = ArrivalModel(5.0, (1.0,))
-    counts = sample_poisson_arrivals(model, 2.0, rng)
-    assert counts.shape == (1,)
-    assert counts[0] > 0
-
-
-def test_poisson_mean_statistics():
-    # mean of Poisson(50) totals over 10000 replications within 3 sigma
-    rng = np.random.default_rng(123)
-    model = ArrivalModel(5.0, (0.5, 0.3, 0.2))
-    totals = [sample_poisson_arrivals(model, 10.0, rng).sum() for _ in range(10000)]
-    mean = sum(totals) / len(totals)
-    assert abs(mean - 50.0) < 3 * math.sqrt(50.0) / math.sqrt(10000)
-
-
-def test_arrival_model_validation():
-    with pytest.raises(ValueError):
-        ArrivalModel(1.0, ())
-    with pytest.raises(ValueError):
-        ArrivalModel(1.0, (0.5, 0.4))
-    with pytest.raises(ValueError):
-        ArrivalModel(1.0, (1.2, -0.2))
-    with pytest.raises(ValueError):
-        sample_poisson_arrivals(ArrivalModel(1.0, (1.0,)), 0.0, np.random.default_rng(0))
+def test_link_states_over_per_link_capacities():
+    # one equal capacity per link draws exactly what the scalar does
+    scalar_rng, array_rng = np.random.default_rng(5), np.random.default_rng(5)
+    scalar = sample_link_states(1000, scalar_rng, capacity_mbps=30.0, flow_rate_mbps=0.5, mu=2.0)
+    per_link = sample_link_states(1000, array_rng, capacity_mbps=np.full(1000, 30.0),
+                                  flow_rate_mbps=0.5, mu=2.0)
+    assert per_link.t0.tobytes() == scalar.t0.tobytes()
+    assert per_link.gamma.tobytes() == scalar.gamma.tobytes()
+    assert array_rng.random() == scalar_rng.random()
+    # each link's load is drawn over its own capacity
+    capacity = np.array([1.0, 30.0, 300.0] * 200)
+    states = sample_link_states(600, np.random.default_rng(6), capacity_mbps=capacity)
+    assert np.all(states.t0 <= capacity) and np.all(states.gamma <= capacity)
+    assert states.t0[2::3].max() > 30.0
+    with pytest.raises(ValueError, match="positive"):
+        sample_link_states(2, np.random.default_rng(0), capacity_mbps=np.array([30.0, 0.0]))
