@@ -3,7 +3,9 @@
 Exit codes: 0 on success (a "path not available" outcome is a result, not a
 failure), 1 on usage or validation errors and on running out of memory, 2 on
 I/O failures.  Every command writes its fully resolved configuration next to
-its outputs so any artifact can be reproduced from the directory alone.
+its outputs so any artifact can be reproduced from the directory alone, and
+writes only once its work has succeeded, so a command that exits 1 writes
+nothing.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from .bench import (
 from .config import RunConfig
 from .grading import SELECTION_MODES, save_grade_dump, select_feasible
 from .optimizers import RouteResult
-from .topology import (generate_topology, load_topology, quadrant_candidates, quadrant_of,
-                       save_topology, write_json)
+from .topology import generate_topology, load_topology, quadrant_of, save_topology, write_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,10 +115,10 @@ def cmd_generate(config: RunConfig) -> int:
 
 def cmd_grade(config: RunConfig, topology_path: str) -> int:
     topology = load_topology(topology_path)
-    out = _prepare_out(config)
     kb = grade_topology(topology, config, config.seed)
-    save_grade_dump(kb, config.selection_mode, out / "grade_dump.json")
     feasible = select_feasible(topology, kb, config.selection_mode)
+    out = _prepare_out(config)
+    save_grade_dump(kb, config.selection_mode, out / "grade_dump.json")
     print(f"graded {topology.n} nodes ({config.selection_mode}): "
           f"{len(feasible)} selected for routing")
     print(f"wrote {out / 'grade_dump.json'}")
@@ -150,11 +151,7 @@ def _route_result_dict(result: RouteResult) -> dict:
 def cmd_route(config: RunConfig, topology_path: str, source: int,
               destination: int, algo: str) -> int:
     topology = load_topology(topology_path)
-    quadrant_candidates(topology, source, destination)  # the prune's endpoint checks
-    out = _prepare_out(config)
     kb = grade_topology(topology, config, config.seed)
-    save_grade_dump(kb, config.selection_mode, out / "grade_dump.json")
-
     trial = prune(topology, kb, source, destination, config.selection_mode)
     tag = quadrant_of(topology.positions[source], topology.positions[destination])
 
@@ -166,22 +163,25 @@ def cmd_route(config: RunConfig, topology_path: str, source: int,
         print(f"note: destination {destination} excluded by grading "
               f"(priority {priority}); no route can qualify")
 
+    docs = {}
     for name in ("abc", "ga"):
         if algo not in (name, "both"):
             continue
         result = search(trial, name, config, config.seed)
         _print_route(name, result)
-        doc = _route_result_dict(result)
-        doc["source"] = source
-        doc["destination"] = destination
-        doc["selection_mode"] = config.selection_mode
+        docs[name] = {**_route_result_dict(result), "source": source,
+                      "destination": destination, "selection_mode": config.selection_mode}
+
+    out = _prepare_out(config)
+    save_grade_dump(kb, config.selection_mode, out / "grade_dump.json")
+    for name, doc in docs.items():
         write_json(out / f"route_{name}.json", doc)
     return 0
 
 
 def cmd_bench(config: RunConfig) -> int:
-    out = _prepare_out(config)
     summary, records = run_suite(config)
+    out = _prepare_out(config)
     rows = [record.to_row() for record in records]
     write_records_csv(rows, out / "results.csv")
     save_summary_json(summary, out / "summary.json")

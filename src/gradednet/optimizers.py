@@ -31,6 +31,9 @@ Observer = Callable[[str, PathNodes], None]
 WALK_RESTARTS = 50
 REGROW_RETRIES = 10
 REPAIR_ATTEMPTS = 3
+# The rank of a path with a link below the bandwidth threshold: rejected paths
+# rank below any accepted path, including saturated ones.
+REJECTED = -1.0
 
 
 @dataclass(frozen=True)
@@ -77,7 +80,7 @@ class GaConfig:
 @dataclass
 class FoodSource:
     path: PathNodes
-    fitness: Fitness | None
+    value: float
     trials: int = 0
 
 
@@ -310,19 +313,11 @@ def modified_crossover(parent_a: PathNodes, parent_b: PathNodes,
     return child_a, child_b
 
 
-def _fitness_value(fitness: Fitness | None) -> float:
-    # Rejected paths rank below any accepted path, including saturated ones.
-    return fitness.bottleneck_bw if fitness is not None else -1.0
-
-
-def _weight(fitness: Fitness | None) -> float:
-    return max(_fitness_value(fitness), 0.0)
-
-
 class _Search:
     """What ABC and GA share: the endpoints, scouting, evaluating a candidate,
     reporting it to the observer, and the best candidate ever seen with its
-    per-cycle trace, which is nondecreasing."""
+    per-cycle trace, which is nondecreasing.  A candidate's rank is one
+    float: its bottleneck, or ``REJECTED``."""
 
     def __init__(self, subgraph: Subgraph, source: int, destination: int,
                  kb: KnowledgeBase, rng: random.Random, bw_threshold: float,
@@ -332,30 +327,30 @@ class _Search:
         self.subgraph, self.source, self.destination = subgraph, source, destination
         self.kb, self.rng, self.bw_threshold, self.observer = kb, rng, bw_threshold, observer
         self.best_path: PathNodes | None = None
-        self.best_fitness: Fitness | None = None
+        self.best = REJECTED
         self.trace: list[float] = []
 
     def scout(self) -> PathNodes | None:
         return random_path(self.subgraph, self.source, self.destination, self.rng)
 
-    def evaluate(self, path: PathNodes) -> Fitness | None:
-        return path_fitness(path, self.subgraph.topology, self.kb, self.bw_threshold)
+    def evaluate(self, path: PathNodes) -> float:
+        fitness = path_fitness(path, self.subgraph.topology, self.kb, self.bw_threshold)
+        return REJECTED if fitness is None else fitness.bottleneck_bw
 
-    def report(self, kind: str, path: PathNodes, fitness: Fitness | None) -> None:
+    def report(self, kind: str, path: PathNodes, value: float) -> None:
         """Tell the observer about a candidate and keep it if it is the best yet."""
         if self.observer is not None:
             self.observer(kind, path)
-        if fitness is not None and (self.best_fitness is None
-                                    or fitness.bottleneck_bw > self.best_fitness.bottleneck_bw):
-            self.best_path, self.best_fitness = path, fitness
+        if value > self.best:
+            self.best_path, self.best = path, value
 
-    def step(self, kind: str, path: PathNodes) -> Fitness | None:
-        fitness = self.evaluate(path)
-        self.report(kind, path, fitness)
-        return fitness
+    def step(self, kind: str, path: PathNodes) -> float:
+        value = self.evaluate(path)
+        self.report(kind, path, value)
+        return value
 
-    def populate(self, size: int) -> list[tuple[PathNodes, Fitness | None]]:
-        """Up to ``size`` scouted paths with their fitness; empty when the
+    def populate(self, size: int) -> list[tuple[PathNodes, float]]:
+        """Up to ``size`` scouted paths with their rank; empty when the
         destination is unreachable.  A non-empty population is cycle 0."""
         if self.destination not in self.subgraph.allowed:
             return []
@@ -369,7 +364,7 @@ class _Search:
         return members
 
     def end_cycle(self) -> None:
-        self.trace.append(self.best_fitness.bottleneck_bw if self.best_fitness else 0.0)
+        self.trace.append(max(self.best, 0.0))
 
     def result(self) -> RouteResult:
         trace = tuple(self.trace) if self.trace else (0.0,)
@@ -377,16 +372,9 @@ class _Search:
         convergence = next(i for i, v in enumerate(trace) if v == final)
         stagnation = next(
             (i for i in range(5, len(trace)) if trace[i] == trace[i - 5]), None)
-        if self.best_path is None:
-            return RouteResult(None, Fitness(0.0), 0, convergence, trace, stagnation)
-        return RouteResult(
-            best_path=self.best_path,
-            best_fitness=self.best_fitness,
-            hop_count=len(self.best_path) - 1,
-            convergence_cycle=convergence,
-            fitness_trace=trace,
-            stagnation_cycle=stagnation,
-        )
+        path = self.best_path
+        return RouteResult(path, Fitness(max(self.best, 0.0)), len(path) - 1 if path else 0,
+                           convergence, trace, stagnation)
 
 
 def abc_search(subgraph: Subgraph, source: int, destination: int,
@@ -396,9 +384,10 @@ def abc_search(subgraph: Subgraph, source: int, destination: int,
     """Artificial-bee-colony search for the max-bottleneck path.
 
     Employed bees perturb each food source and greedily keep improvements;
-    onlookers reinforce sources in proportion to their nectar (bottleneck
-    bandwidth); sources stuck for ``abc_limit`` trials are abandoned to scouts.
-    The best source ever seen is remembered across cycles.
+    onlookers make the same greedy move on sources picked in proportion to
+    their nectar (bottleneck bandwidth); sources stuck for ``abc_limit``
+    trials are abandoned to scouts.  The best source ever seen is remembered
+    across cycles.
 
     Onlooker weights are built once per onlooker phase and updated in place
     when an onlooker's candidate is accepted, so every onlooker selects from
@@ -414,40 +403,40 @@ def abc_search(subgraph: Subgraph, source: int, destination: int,
     search = _Search(subgraph, source, destination, kb, rng, bw_threshold, observer)
     colony = cfg.colony_size
     limit = cfg.abc_limit if cfg.abc_limit is not None else colony * 5
-    sources = [FoodSource(path, fit) for path, fit in search.populate(colony)]
+    sources = [FoodSource(path, value) for path, value in search.populate(colony)]
     if not sources:
         return search.result()
 
+    def improve(src: FoodSource, kind: str) -> bool:
+        # The bees' greedy move: perturb the source and keep the candidate if
+        # it ranks higher, else count a trial.  True when it was kept.
+        candidate = neighbor_path(src.path, subgraph, rng)
+        value = search.step(kind, candidate)
+        if value > src.value:
+            src.path, src.value, src.trials = candidate, value, 0
+            return True
+        src.trials += 1
+        return False
+
     for _ in range(cfg.max_cycles):
-        # Employed phase: one perturbation per source, greedy acceptance.
+        # Employed phase: one greedy move per source.
         for src in sources:
-            candidate = neighbor_path(src.path, subgraph, rng)
-            fit = search.step("employed", candidate)
-            if _fitness_value(fit) > _fitness_value(src.fitness):
-                src.path, src.fitness, src.trials = candidate, fit, 0
-            else:
-                src.trials += 1
+            improve(src, "employed")
 
         # Onlooker phase: fitness-proportional reinforcement.  Only an
         # accepted candidate changes a weight, so weights stay current.
-        weights = [_weight(src.fitness) for src in sources]
+        weights = [max(src.value, 0.0) for src in sources]
         for _ in range(colony):
             idx = roulette_select(weights, rng)
-            chosen = sources[idx]
-            candidate = neighbor_path(chosen.path, subgraph, rng)
-            fit = search.step("onlooker", candidate)
-            if _fitness_value(fit) > _fitness_value(chosen.fitness):
-                chosen.path, chosen.fitness, chosen.trials = candidate, fit, 0
-                weights[idx] = _weight(fit)
-            else:
-                chosen.trials += 1
+            if improve(sources[idx], "onlooker"):
+                weights[idx] = max(sources[idx].value, 0.0)
 
         # Scout phase: abandon exhausted sources.
         for src in sources:
             if src.trials >= limit:
                 fresh = search.scout()
                 if fresh is not None:
-                    src.path, src.fitness = fresh, search.step("scout", fresh)
+                    src.path, src.value = fresh, search.step("scout", fresh)
                 src.trials = 0
 
         search.end_cycle()
@@ -467,43 +456,43 @@ def ga_search(subgraph: Subgraph, source: int, destination: int,
         # Per intermediate gene: with probability mutation_rate, regrow the
         # suffix from that gene's predecessor (at most one regrowth per pass;
         # a point swap would almost always break adjacency).
-        if cfg.mutation_rate <= 0.0 or len(path) <= 2:
+        if cfg.mutation_rate <= 0.0:
             return path
         for i in range(1, len(path) - 1):
             if rng.random() < cfg.mutation_rate:
                 return _regrow(rows, path, i - 1, getrandbits) or path
         return path
 
-    # Each member's fitness is evaluated once, when it joins the population.
+    # Each member is evaluated once, when it joins the population.
     population = search.populate(cfg.population_size)
     if not population:
         return search.result()
 
     for _ in range(cfg.generations):
-        weights = [_weight(fit) for _, fit in population]
-        offspring: list[tuple[PathNodes, Fitness | None]] = []
+        weights = [max(value, 0.0) for _, value in population]
+        offspring: list[tuple[PathNodes, float]] = []
         while len(offspring) < len(population):
-            pa, fa = population[roulette_select(weights, rng)]
+            pa, va = population[roulette_select(weights, rng)]
             pb, _ = population[roulette_select(weights, rng)]
             for child in modified_crossover(pa, pb, rng):
                 # Crossover and mutation keep every child a valid path; one
                 # below the bandwidth threshold is replaced by a scout path.
                 child = mutate(child)
-                fit = search.evaluate(child)
-                if fit is None:
+                value = search.evaluate(child)
+                if value == REJECTED:
                     # Replacement paths should themselves be feasible, else
                     # they get zero selection weight and never breed.  With
                     # no scout path at all, the first parent stands in.
-                    child, fit = pa, fa
+                    child, value = pa, va
                     for _ in range(REPAIR_ATTEMPTS):
                         fresh = search.scout()
                         if fresh is None:
                             break
-                        child, fit = fresh, search.evaluate(fresh)
-                        if fit is not None:
+                        child, value = fresh, search.evaluate(fresh)
+                        if value != REJECTED:
                             break
-                search.report("offspring", child, fit)
-                offspring.append((child, fit))
+                search.report("offspring", child, value)
+                offspring.append((child, value))
                 if len(offspring) >= len(population):
                     break
         population = offspring

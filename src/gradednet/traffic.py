@@ -109,7 +109,16 @@ def sample_link_states(n_links: int, rng: np.random.Generator, *,
         raise ValueError(f"capacity must be positive, got {np.min(capacity_mbps)}")
     if flow_rate_mbps <= 0:
         raise ValueError(f"flow rate must be positive, got {flow_rate_mbps}")
-    max_flows = capacity_mbps / flow_rate_mbps
+    # numpy's uniform rejects a range that overflows a float; so do we, by
+    # name and before any draw.  A max_flows that is not finite makes
+    # max_gammas not finite too, whatever mu is.
+    with np.errstate(over="ignore", invalid="ignore"):
+        max_flows = capacity_mbps / flow_rate_mbps
+        max_gammas = max_flows * mu
+    if not np.all(np.isfinite(max_gammas)):
+        raise ValueError(f"link load range overflows a float: capacity {np.max(capacity_mbps)} "
+                         f"Mbps / flow_rate_mbps {flow_rate_mbps}, times mu {mu}, "
+                         f"must be finite")
     t0s = rng.uniform(0.0, max_flows, n_links)
-    gammas = rng.uniform(0.0, max_flows * mu, n_links)
+    gammas = rng.uniform(0.0, max_gammas, n_links)
     return LinkState(t0=t0s, gamma=gammas, mu=mu)

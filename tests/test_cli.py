@@ -547,6 +547,43 @@ def test_mean_arrivals_beyond_numpy_poisson_exits_one(tmp_path, capsys, doc):
         assert not out.exists(), command
 
 
+def test_bench_node_count_too_large_for_numpy_writes_nothing(tmp_path, capsys):
+    # numpy refuses the dimension before allocating anything; the sweep runs
+    # before the output directory is made
+    out = tmp_path / "out"
+    code, _, err = _run(capsys, "bench", "--node-counts", "99999999999999999999",
+                        "--seeds-per-n", "1", "--out", str(out))
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, doc, link_capacity", [
+    ("bench", {"max_bandwidth_mbps": 1e308, "mu": 10.0}, None),
+    ("bench", {"max_bandwidth_mbps": 1e308, "flow_rate_mbps": 0.01}, None),
+    ("grade", {"mu": 10.0}, 1e308),
+    ("route", {"mu": 10.0}, 1e308),
+])
+def test_overflowing_link_load_range_exits_one_and_writes_nothing(tmp_path, capsys, command,
+                                                                  doc, link_capacity):
+    _run(capsys, "generate", "--n", "12", "--seed", "3", "--out", str(tmp_path / "gen"))
+    topology = tmp_path / "gen" / "topology.json"
+    if link_capacity is not None:
+        topo_doc = json.loads(topology.read_text())
+        for link in topo_doc["links"]:
+            link["capacity_mbps"] = link_capacity
+        topology.write_text(json.dumps(topo_doc))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    flags = [item for pair in _command_args(command, str(topology)).items() for item in pair]
+    code, _, err = _run(capsys, command, *flags, "--config", str(cfg_path), "--out", str(out))
+    assert code == 1
+    assert err.startswith("error:") and "flow_rate_mbps" in err and "mu" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_generate_out_of_memory_exits_one_and_writes_nothing(tmp_path, capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 1.46 TiB for an array")
@@ -662,3 +699,63 @@ def test_bench_fuzz_invalid_config_documents(capsys, doc):
                             "--config", str(cfg_path), "--out", str(out))
         _check_exit(code, err, out)
         assert code == 1, (doc, err)
+
+
+# Every flag a command takes besides --out, which stays a fresh directory so
+# that an example can write nowhere else.
+_COMMAND_FLAGS = {
+    "generate": ("--config", "--seed", "--n", "--density"),
+    "grade": ("--config", "--seed", "--topology", "--mode"),
+    "route": ("--config", "--seed", "--topology", "--source", "--destination", "--algo",
+              "--mode"),
+    "bench": ("--config", "--seed", "--node-counts", "--seeds-per-n", "--density"),
+}
+_FLAG_TEXT = (st.text(max_size=10) | st.integers().map(str) | st.floats().map(str)
+              | st.integers(-3, 70).map(str) | st.floats(0.0, 1.0).map(str)
+              | st.sampled_from(["", "-", ",", "16,", " 12 ", "1_6", "+8", "٣", "nan",
+                                 "-inf", "1e308", "-0.0", "64,64", "--n", "literal", "ga"]))
+
+
+def _small_run(flag: str, text: str) -> bool:
+    # every int that int() reads from a comma-separated part of the text is
+    # a node count of at most 64, or at most two seeds per node count, so no
+    # example allocates a large topology or runs a long sweep
+    bound = {"--n": 64, "--node-counts": 64, "--seeds-per-n": 2}.get(flag)
+    if bound is None:
+        return True
+    for part in text.split(","):
+        try:
+            if int(part) > bound:
+                return False
+        except ValueError:
+            pass
+    return True
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzz_malformed_flags(small_topology_doc, capsys, data):
+    command = data.draw(st.sampled_from(sorted(_COMMAND_FLAGS)), label="command")
+    flags = data.draw(st.lists(st.sampled_from(_COMMAND_FLAGS[command]), min_size=1,
+                               max_size=3, unique=True), label="flags")
+    with tempfile.TemporaryDirectory() as work:
+        topology = Path(work) / "topology.json"
+        topology.write_text(json.dumps(small_topology_doc))
+        cfg_path = Path(work) / "fast.json"
+        cfg_path.write_text(json.dumps({"colony_size": 5, "population_size": 5,
+                                        "max_cycles": 6, "generations": 6}))
+        args = {"--config": str(cfg_path), **_command_args(command, str(topology))}
+        for flag in flags:
+            args[flag] = data.draw(_FLAG_TEXT.filter(lambda text: _small_run(flag, text)),
+                                   label=flag)
+        out = Path(work) / "out"
+        code = main([command, *(item for pair in args.items() for item in pair),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (code, err)
+        assert "Traceback" not in err, err
+        if code == 1:
+            # a usage error prints the usage line before its error line
+            assert "error:" in err, err
+            assert not out.exists(), err

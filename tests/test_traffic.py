@@ -139,3 +139,18 @@ def test_link_states_over_per_link_capacities():
     assert states.t0[2::3].max() > 30.0
     with pytest.raises(ValueError, match="positive"):
         sample_link_states(2, np.random.default_rng(0), capacity_mbps=np.array([30.0, 0.0]))
+
+
+@pytest.mark.parametrize("capacity, flow_rate, mu", [
+    (1e308, 1.0, 10.0),                  # the arrival range overflows
+    (1e308, 0.01, 1.0),                  # the flow count overflows
+    (np.array([30.0, 1e308]), 1.0, 10.0),  # one link's range overflows
+])
+def test_link_states_reject_an_overflowing_range_before_drawing(capacity, flow_rate, mu):
+    rng = np.random.default_rng(4)
+    with pytest.raises(ValueError, match="flow_rate_mbps.*mu"):
+        sample_link_states(2, rng, capacity_mbps=capacity, flow_rate_mbps=flow_rate, mu=mu)
+    assert rng.random() == np.random.default_rng(4).random()
+    # the largest range a float holds is still drawn
+    states = sample_link_states(2, rng, capacity_mbps=1e308, flow_rate_mbps=1.0, mu=1.0)
+    assert np.all(np.isfinite(states.gamma))
