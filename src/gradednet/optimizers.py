@@ -104,7 +104,6 @@ class _Rows(dict):
     # A member's row, built on its first lookup and then cached: one slice of
     # the topology's CSR neighbors, masked by ``inside``, as ints in neighbor
     # order.  Any other id, negative and out-of-range ones too, has no row.
-    # Only lookups by key build a row; .get does not.
 
     def __init__(self, edges: EdgeArrays, allowed: frozenset[int], inside: np.ndarray):
         super().__init__()
@@ -123,34 +122,28 @@ class _Rows(dict):
 class Subgraph:
     """Adjacency, in id order, restricted to the allowed candidate set (plus the source).
 
-    ``rows[v]`` is member ``v``'s neighbors in the set, in neighbor order, and
-    ``()`` for any other id.  A row is built the first time it is looked up,
-    so a search builds only the rows of the nodes it reaches, and a query that
-    ends at the prune builds almost none.
+    ``neighbors(v)`` is member ``v``'s neighbors in the set, in neighbor
+    order, and ``()`` for any other id; it is the one way to read a row.  A
+    row is built the first time it is looked up, so a search builds only the
+    rows of the nodes it reaches, and a query that ends at the prune builds
+    almost none.
     """
 
     def __init__(self, topology: Topology, allowed: frozenset[int]):
         self.topology = topology
         self.allowed = allowed
-        self.members = sorted(allowed)
-        if self.members and not (0 <= self.members[0] and self.members[-1] < topology.n):
+        members = sorted(allowed)
+        if members and not (0 <= members[0] and members[-1] < topology.n):
             raise ValueError(f"allowed nodes must be in 0..{topology.n - 1}")
         inside = np.zeros(topology.n, dtype=bool)
-        inside[self.members] = True
-        self.rows = _Rows(topology.edges, allowed, inside)
+        inside[members] = True
+        # the row cache's own lookup: once a row is built, a call is one dict lookup
+        self.neighbors: Callable[[int], tuple[int, ...]] = _Rows(
+            topology.edges, allowed, inside).__getitem__
 
     @classmethod
     def from_topology(cls, topology: Topology, candidates: set[int], source: int) -> "Subgraph":
         return cls(topology, frozenset(candidates) | frozenset((source,)))
-
-    @property
-    def adj(self) -> dict[int, tuple[int, ...]]:
-        """Every member's row, in id order (builds the rows not yet built)."""
-        rows = self.rows
-        return {v: rows[v] for v in self.members}
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.rows[v]
 
 
 def path_is_valid(path: PathNodes, subgraph: Subgraph, source: int, destination: int) -> bool:
@@ -159,8 +152,8 @@ def path_is_valid(path: PathNodes, subgraph: Subgraph, source: int, destination:
         return False
     if len(set(path)) != len(path):
         return False
-    rows = subgraph.rows
-    return all(v in rows[u] for u, v in zip(path, path[1:]))
+    neighbors = subgraph.neighbors
+    return all(v in neighbors(u) for u, v in zip(path, path[1:]))
 
 
 def _randbelow(getrandbits: Callable[[int], int], n: int) -> int:
@@ -177,17 +170,19 @@ def _randbelow(getrandbits: Callable[[int], int], n: int) -> int:
     return r
 
 
-def _walk(rows: dict[int, tuple[int, ...]], start: int, destination: int,
-          visited: set[int], getrandbits: Callable[[int], int]) -> PathNodes | None:
-    # One uniform random walk over unvisited allowed neighbors (``rows`` is a
-    # Subgraph's, so a lookup builds the row); None on dead end.  ``visited``
-    # already holds ``start`` and is extended in place.  The hot
+def _walk(neighbors: Callable[[int], tuple[int, ...]], prefix: PathNodes, destination: int,
+          getrandbits: Callable[[int], int]) -> PathNodes | None:
+    # Extend ``prefix`` by one uniform random walk over unvisited allowed
+    # neighbors to ``destination``; the whole path, or None on a dead end.
+    # Every path move is this walk: a scout extends the source alone, a bee
+    # move and a GA mutation a kept prefix of the path they change.  The hot
     # loop of both searches: filterfalse keeps the unvisited neighbors, in
     # adjacency order, without a Python-level step per neighbor, and the pick
     # is _randbelow inlined, so it draws what randrange(len(choices)) would.
-    path = [start]
-    neighbors, seen = rows.__getitem__, visited.__contains__
-    cur = start
+    path = [*prefix]
+    visited = set(prefix)
+    seen = visited.__contains__
+    cur = path[-1]
     while cur != destination:
         choices = [*filterfalse(seen, neighbors(cur))]
         n = len(choices)
@@ -212,21 +207,12 @@ def random_path(subgraph: Subgraph, source: int, destination: int,
     """
     if source not in subgraph.allowed or destination not in subgraph.allowed:
         return None
-    rows, getrandbits = subgraph.rows, rng.getrandbits
+    neighbors, getrandbits = subgraph.neighbors, rng.getrandbits
     for _ in range(WALK_RESTARTS):
-        found = _walk(rows, source, destination, {source}, getrandbits)
+        found = _walk(neighbors, (source,), destination, getrandbits)
         if found is not None:
             return found
     return None
-
-
-def _regrow(rows: dict[int, tuple[int, ...]], path: PathNodes, cut: int,
-            getrandbits: Callable[[int], int]) -> PathNodes | None:
-    # Keep path[:cut + 1] and walk a new suffix to the same destination that
-    # avoids the kept prefix; None on a dead end.
-    prefix = path[:cut + 1]
-    tail = _walk(rows, path[cut], path[-1], set(prefix), getrandbits)
-    return None if tail is None else prefix + tail[1:]
 
 
 def neighbor_path(path: PathNodes, subgraph: Subgraph, rng: random.Random) -> PathNodes:
@@ -236,9 +222,10 @@ def neighbor_path(path: PathNodes, subgraph: Subgraph, rng: random.Random) -> Pa
     avoids the kept prefix.  If none of ``REGROW_RETRIES`` regrowths succeeds
     the original path is returned unchanged.
     """
-    rows, getrandbits = subgraph.rows, rng.getrandbits
+    neighbors, getrandbits = subgraph.neighbors, rng.getrandbits
     for _ in range(REGROW_RETRIES):
-        regrown = _regrow(rows, path, _randbelow(getrandbits, len(path) - 1), getrandbits)
+        cut = _randbelow(getrandbits, len(path) - 1)
+        regrown = _walk(neighbors, path[:cut + 1], path[-1], getrandbits)
         if regrown is not None:
             return regrown
     return path
@@ -352,8 +339,6 @@ class _Search:
     def populate(self, size: int) -> list[tuple[PathNodes, float]]:
         """Up to ``size`` scouted paths with their rank; empty when the
         destination is unreachable.  A non-empty population is cycle 0."""
-        if self.destination not in self.subgraph.allowed:
-            return []
         members = []
         for _ in range(size):
             path = self.scout()
@@ -450,7 +435,7 @@ def ga_search(subgraph: Subgraph, source: int, destination: int,
               observer: Observer | None = None) -> RouteResult:
     """Genetic search: roulette selection, shared-node crossover, suffix-regrow mutation."""
     search = _Search(subgraph, source, destination, kb, rng, bw_threshold, observer)
-    rows, getrandbits = subgraph.rows, rng.getrandbits
+    neighbors, getrandbits = subgraph.neighbors, rng.getrandbits
 
     def mutate(path: PathNodes) -> PathNodes:
         # Per intermediate gene: with probability mutation_rate, regrow the
@@ -460,7 +445,7 @@ def ga_search(subgraph: Subgraph, source: int, destination: int,
             return path
         for i in range(1, len(path) - 1):
             if rng.random() < cfg.mutation_rate:
-                return _regrow(rows, path, i - 1, getrandbits) or path
+                return _walk(neighbors, path[:i], path[-1], getrandbits) or path
         return path
 
     # Each member is evaluated once, when it joins the population.

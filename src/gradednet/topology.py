@@ -78,16 +78,13 @@ class Link:
     b: int
     capacity_mbps: float
 
-    def key(self) -> tuple[int, int]:
-        return (self.a, self.b) if self.a < self.b else (self.b, self.a)
-
 
 @dataclass(frozen=True, eq=False)
 class EdgeArrays:
     """A topology's links as numpy arrays, the form grading and ``Subgraph`` compute on.
 
     capacity_mbps: one entry per link, in ``Topology.links`` order
-    keys:     each link's ``Link.key()``, in the same order
+    keys:     each link's ``(min(a, b), max(a, b))``, in the same order
     node, neighbor, link: the directed edges (both directions of every link)
               sorted by (node, neighbor), each with the index of its link
     degree:   links per node

@@ -216,13 +216,13 @@ def quadrant_members(topology, source: int, destination: int) -> set[int] | None
     return {node.id for node in topology.nodes if node.id != source and quadrant(node) == target}
 
 
-def walk_by_randrange(adj, start: int, destination: int, visited: set[int], rng):
+def walk_by_randrange(neighbors, start: int, destination: int, visited: set[int], rng):
     """One uniform random walk over unvisited neighbors, picked with
     ``rng.randrange``; None on a dead end.  Extends ``visited`` in place."""
     path = [start]
     cur = start
     while cur != destination:
-        choices = [v for v in adj.get(cur, ()) if v not in visited]
+        choices = [v for v in neighbors(cur) if v not in visited]
         if not choices:
             return None
         cur = choices[rng.randrange(len(choices))]
@@ -236,7 +236,7 @@ def random_path_by_randrange(subgraph, source: int, destination: int, rng):
     if source not in subgraph.allowed or destination not in subgraph.allowed:
         return None
     for _ in range(WALK_RESTARTS):
-        found = walk_by_randrange(subgraph.adj, source, destination, {source}, rng)
+        found = walk_by_randrange(subgraph.neighbors, source, destination, {source}, rng)
         if found is not None:
             return found
     return None
@@ -248,7 +248,7 @@ def neighbor_path_by_randrange(path, subgraph, rng):
     for _ in range(REGROW_RETRIES):
         cut = rng.randrange(len(path) - 1)
         prefix = path[:cut + 1]
-        tail = walk_by_randrange(subgraph.adj, path[cut], path[-1], set(prefix), rng)
+        tail = walk_by_randrange(subgraph.neighbors, path[cut], path[-1], set(prefix), rng)
         if tail is not None:
             return prefix + tail[1:]
     return path
@@ -289,9 +289,9 @@ def grade_nodes_one_by_one(topology, link_states, config, rng):
     for link, t0, gamma in zip(topology.links, t0s, gammas):
         load = t0 * decay + (gamma / mu) * (1.0 - decay)
         loaded = min(1.0, max(0.0, load * flow_rate / link.capacity_mbps))
-        kb.link_available_mbps[link.key()] = link.capacity_mbps * (1.0 - loaded)
-        flows_capacity[link.key()] = (loaded * link.capacity_mbps / flow_rate,
-                                      link.capacity_mbps)
+        key = (min(link.a, link.b), max(link.a, link.b))
+        kb.link_available_mbps[key] = link.capacity_mbps * (1.0 - loaded)
+        flows_capacity[key] = (loaded * link.capacity_mbps / flow_rate, link.capacity_mbps)
 
     n = topology.n
     lifetimes = rng.uniform(0.0, config.lifetime_scale, n)

@@ -56,7 +56,8 @@ def _line_topology():
 
 
 def _kb_for(topo, fill=30.0):
-    return KnowledgeBase(link_available_mbps={l.key(): fill for l in topo.links})
+    return KnowledgeBase(link_available_mbps={
+        (min(l.a, l.b), max(l.a, l.b)): fill for l in topo.links})
 
 
 def _random_setup(seed, n=20, density=0.3):
@@ -183,7 +184,7 @@ def _subgraph_walks(draw):
     sub = Subgraph(topo, allowed)
     path = list(first) if draw(st.booleans()) else list(reversed(first))
     while draw(st.booleans()):
-        choices = [v for v in sub.adj[path[-1]] if v not in path]
+        choices = [v for v in sub.neighbors(path[-1]) if v not in path]
         if not choices:
             break
         path.append(draw(st.sampled_from(choices)))
@@ -266,9 +267,9 @@ def test_subgraph_is_link_adjacency_restricted_to_allowed(case):
     topo, allowed = case
     adj = adjacency(topo)
     sub = Subgraph(topo, allowed)
-    assert list(sub.adj.items()) == [
-        (v, tuple(sorted(adj[v] & allowed))) for v in sorted(allowed)]
-    assert all(type(v) is int for nbrs in sub.adj.values() for v in nbrs)
+    rows = [(v, sub.neighbors(v)) for v in sorted(allowed)]
+    assert rows == [(v, tuple(sorted(adj[v] & allowed))) for v in sorted(allowed)]
+    assert all(type(v) is int for _, nbrs in rows for v in nbrs)
 
 
 @settings(max_examples=300, deadline=None)
@@ -285,7 +286,7 @@ def test_subgraph_rows_built_on_first_use_match_the_oracle(case, data):
     reads = data.draw(st.lists(st.sampled_from(sorted(expected)), max_size=3 * topo.n + 6))
     for v in reads:
         assert sub.neighbors(v) == expected[v]
-    assert list(sub.adj.items()) == [(v, expected[v]) for v in sorted(allowed)]
+    assert [sub.neighbors(v) for v in sorted(allowed)] == [expected[v] for v in sorted(allowed)]
 
 
 def test_subgraph_rejects_unknown_nodes():
@@ -411,16 +412,23 @@ def test_ga_single_path_graph():
 
 
 def test_searches_disconnected_destination():
+    # Destination 3 is cut off from the source in the first subgraph and is
+    # not a member of the second, where no search may draw at all.
     topo = _topology([(0.1, 0.1), (0.2, 0.2), (0.8, 0.8), (0.9, 0.9)],
                      [(0, 1), (2, 3)])
-    sub = Subgraph.from_topology(topo, {1, 2, 3}, 0)
     kb = _kb_for(topo)
-    abc = abc_search(sub, 0, 3, AbcConfig(colony_size=3, max_cycles=5), kb,
-                     random.Random(0))
-    ga = ga_search(sub, 0, 3, GaConfig(population_size=3, generations=5), kb,
-                   random.Random(0))
-    assert abc.best_path is None and not abc.found
-    assert ga.best_path is None and not ga.found
+    for sub in (Subgraph.from_topology(topo, {1, 2, 3}, 0),
+                Subgraph.from_topology(topo, {1, 2}, 0)):
+        for optimizer, cfg in ((abc_search, AbcConfig(colony_size=3, max_cycles=5)),
+                               (ga_search, GaConfig(population_size=3, generations=5))):
+            rng, events = random.Random(0), []
+            state = rng.getstate()
+            result = optimizer(sub, 0, 3, cfg, kb, rng,
+                               observer=lambda kind, path: events.append(kind))
+            assert result.best_path is None and not result.found
+            assert result.fitness_trace == (0.0,) and events == []
+            if 3 not in sub.allowed:
+                assert rng.getstate() == state
 
 
 def test_search_determinism():
@@ -580,6 +588,10 @@ def test_result_is_best_reported_candidate(case):
         assert result.best_fitness == passing[result.best_path]
         assert result.best_fitness.bottleneck_bw == max(
             fit.bottleneck_bw for fit in passing.values())
+        if topo.n <= 10:
+            # the unconstrained optimum over every simple path bounds any result
+            assert result.best_fitness.bottleneck_bw <= enumerate_best_bottleneck(
+                sub, 0, topo.n - 1, kb)
 
 
 def test_config_validation():

@@ -119,7 +119,8 @@ def test_adjacency_symmetric():
     assert set(pairs) == {(j, i) for i, j in pairs}
     assert set(pairs) == {(i, j) for i, nbrs in adjacency(topo).items() for j in nbrs}
     for (i, j), link in zip(pairs, edges.link.tolist()):
-        assert edges.keys[link] == topo.links[link].key() == (min(i, j), max(i, j))
+        a, b = topo.links[link].a, topo.links[link].b
+        assert edges.keys[link] == (min(a, b), max(a, b)) == (min(i, j), max(i, j))
     assert edges.degree.tolist() == [len(adjacency(topo)[i]) for i in range(topo.n)]
 
 
