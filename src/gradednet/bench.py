@@ -12,6 +12,7 @@ perturbs the existing ones.
 from __future__ import annotations
 
 import csv
+import itertools
 import random
 import statistics
 from dataclasses import dataclass
@@ -58,31 +59,30 @@ def stream_py_rng(seed: int, stream: int) -> random.Random:
     return random.Random(child_seed(seed, stream))
 
 
-def pick_endpoints(topology, rng: random.Random,
-                   min_separation: float = MIN_ENDPOINT_SEPARATION) -> tuple[int, int]:
+def pick_endpoints(topology, rng: random.Random) -> tuple[int, int]:
     """Seeded source/destination pair with a meaningful geometric separation.
 
     Adjacent endpoints make the search trivial; the protocol is interested in
-    multi-hop routes, so pairs closer than ``min_separation`` are redrawn.
-    Falls back to the most separated pair when the topology is too clustered.
+    multi-hop routes, so pairs closer than ``MIN_ENDPOINT_SEPARATION`` are
+    redrawn, up to 100 draws per node.  Falls back to the most separated pair
+    when the topology is too clustered.
     """
     n = topology.n
     nodes = topology.nodes
+
+    def separation2(pair: tuple[int, int]) -> float:
+        dx = nodes[pair[0]].x - nodes[pair[1]].x
+        dy = nodes[pair[0]].y - nodes[pair[1]].y
+        return dx * dx + dy * dy
+
     for _ in range(100 * n):
         source = rng.randrange(n)
         destination = rng.randrange(n - 1)
         if destination >= source:
             destination += 1
-        dx = nodes[source].x - nodes[destination].x
-        dy = nodes[source].y - nodes[destination].y
-        if dx * dx + dy * dy >= min_separation * min_separation:
+        if separation2((source, destination)) >= MIN_ENDPOINT_SEPARATION ** 2:
             return source, destination
-    best = max(
-        ((i, j) for i in range(n) for j in range(i + 1, n)),
-        key=lambda p: ((nodes[p[0]].x - nodes[p[1]].x) ** 2
-                       + (nodes[p[0]].y - nodes[p[1]].y) ** 2),
-    )
-    return best
+    return max(itertools.combinations(range(n), 2), key=separation2)
 
 
 @dataclass
@@ -99,20 +99,14 @@ class TrialRecord:
     destination: int = 0
 
     def to_row(self) -> dict:
-        return {
-            "n": self.n_total,
-            "seed": self.seed,
-            "mode": self.selection_mode,
-            "n_selected": self.n_selected,
-            "abc_hops": self.abc.hop_count,
-            "ga_hops": self.ga.hop_count,
-            "abc_conv": self.abc.convergence_cycle,
-            "ga_conv": self.ga.convergence_cycle,
-            "abc_fit": self.abc.best_fitness.bottleneck_bw,
-            "ga_fit": self.ga.best_fitness.bottleneck_bw,
-            "path_found_abc": self.abc.found,
-            "path_found_ga": self.ga.found,
-        }
+        row = {"n": self.n_total, "seed": self.seed, "mode": self.selection_mode,
+               "n_selected": self.n_selected}
+        for algo, result in (("abc", self.abc), ("ga", self.ga)):
+            row[f"{algo}_hops"] = result.hop_count
+            row[f"{algo}_conv"] = result.convergence_cycle
+            row[f"{algo}_fit"] = result.best_fitness.bottleneck_bw
+            row[f"path_found_{algo}"] = result.found
+        return row
 
 
 @dataclass

@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from .bench import (
+    PLOT_KINDS,
     emit_plot_data,
     grade_topology,
     prune,
@@ -185,13 +186,12 @@ def cmd_bench(config: RunConfig) -> int:
     rows = [record.to_row() for record in records]
     write_records_csv(rows, out / "results.csv")
     save_summary_json(summary, out / "summary.json")
-    for kind, name in (("traffic-intensity", "plot_traffic_intensity.csv"),
-                       ("throughput", "plot_throughput.csv")):
+    for kind in PLOT_KINDS:
         plot_rows = emit_plot_data(records, kind,
                                    packet_size_bits=config.packet_size_bytes * 8,
                                    link_capacity_mbps=config.max_bandwidth_mbps,
                                    flow_rate_mbps=config.flow_rate_mbps)
-        write_plot_csv(plot_rows, out / name)
+        write_plot_csv(plot_rows, out / f"plot_{kind.replace('-', '_')}.csv")
 
     def _fmt(value, spec=".1f"):
         return "-" if value is None else format(value, spec)

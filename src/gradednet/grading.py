@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyKnowledgeBaseError, InfeasibleBalanceError, SaturatedChannelError
 from .topology import DEFAULT_LIFETIME_SCALE, Topology, write_json
 from .traffic import LinkState, available_bandwidth, load_fraction
 
@@ -26,6 +25,18 @@ SELECTION_MODES = ("best-classes", "literal")
 # too large" above it.  This is numpy's POISSON_LAM_MAX (numpy/random/_common.pyx):
 # int64 max - 10 * sqrt(int64 max).
 POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
+
+
+class SaturatedChannelError(ValueError):
+    """Raised when a channel's service capacity cannot keep up with its flow rate."""
+
+
+class InfeasibleBalanceError(ValueError):
+    """Raised when the envisaged bandwidth exceeds what the neighborhood can carry."""
+
+
+class EmptyKnowledgeBaseError(RuntimeError):
+    """Raised when node selection runs against an unpopulated knowledge base."""
 
 
 @dataclass
@@ -171,20 +182,20 @@ def average_delay(d: DelayInputs) -> float:
     """Mean queueing delay across a node's channels.
 
     Sum over channels of (lam_i / gamma) * 1 / (mu*C_i - lam_i), computed by
-    the same code that grades every node.  A channel whose flow reaches its
-    service capacity has unbounded delay and raises SaturatedChannelError.
+    ``_node_delays``, the code that grades every node: 0.0 when all flows are
+    0, and unbounded, raising SaturatedChannelError, when a channel's flow
+    reaches its service capacity.
     """
-    for lam_i, c_i in zip(d.lam, d.capacities):
-        if d.mu * c_i <= lam_i:
-            raise SaturatedChannelError(
-                f"channel saturated: mu*C = {d.mu * c_i} <= lambda = {lam_i}")
-    if all(v == 0.0 for v in d.lam):
-        return 0.0
-    if d.gamma_total <= 0:
+    if d.gamma_total <= 0 and any(d.lam):
         raise ValueError("gamma_total must be positive when flows are present")
     owner = np.zeros(len(d.lam), dtype=np.intp)
-    return float(_node_delays(np.array(d.lam), np.array(d.capacities), d.mu,
-                              np.array([d.gamma_total]), owner, 1)[0])
+    delay = float(_node_delays(np.array(d.lam), np.array(d.capacities), d.mu,
+                               np.array([d.gamma_total]), owner, 1)[0])
+    if math.isinf(delay):
+        channels = "; ".join(f"mu*C = {d.mu * c_i}, lambda = {lam_i}"
+                             for lam_i, c_i in zip(d.lam, d.capacities))
+        raise SaturatedChannelError(f"unbounded delay, a channel is saturated: {channels}")
+    return delay
 
 
 def select_feasible(topology: Topology, kb: KnowledgeBase,

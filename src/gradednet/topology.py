@@ -19,11 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CoincidentPointError
-
 DEFAULT_CAPACITY_MBPS = 30.0
 DEFAULT_LIFETIME_SCALE = 100.0
 _DISTANCE_BLOCK_ROWS = 128
+
+
+class CoincidentPointError(ValueError):
+    """Raised when a quadrant is requested for a point equal to the source."""
 
 
 class Quadrant(Enum):

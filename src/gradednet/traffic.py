@@ -15,8 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CongestedLinkError
 from .topology import DEFAULT_CAPACITY_MBPS
+
+
+class CongestedLinkError(ValueError):
+    """Raised when traffic intensity is requested on a link with no available bandwidth."""
 
 
 @dataclass

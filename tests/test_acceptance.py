@@ -16,9 +16,9 @@ import pytest
 from gradednet.bench import prepare_trial, run_trial, search, trial_seed
 from gradednet.cli import main as cli_main
 from gradednet.config import RunConfig
-from gradednet.errors import SaturatedChannelError
 from gradednet.grading import (
     DelayInputs,
+    SaturatedChannelError,
     average_delay,
     balance_traffic,
     build_knowledge_base,

@@ -19,7 +19,7 @@ from gradednet.bench import (
 )
 from gradednet.config import RunConfig
 from gradednet.optimizers import Fitness, RouteResult
-from gradednet.topology import generate_topology
+from gradednet.topology import Link, Node, QosInputs, Topology, generate_topology
 
 FAST = RunConfig(colony_size=6, population_size=6, max_cycles=8, generations=8)
 
@@ -64,6 +64,20 @@ def test_endpoints_separated():
         dx = topo.nodes[s].x - topo.nodes[d].x
         dy = topo.nodes[s].y - topo.nodes[d].y
         assert dx * dx + dy * dy >= 0.25 - 1e-12
+
+
+def test_endpoints_fall_back_to_most_separated_pair():
+    # no pair is 0.5 apart, so every one of the 100 * n draws is made and
+    # rejected before the most separated pair, (1, 2), is returned
+    nodes = [Node(i, x, y, QosInputs(network_lifetime=50.0))
+             for i, (x, y) in enumerate([(0.1, 0.1), (0.2, 0.1), (0.1, 0.3)])]
+    topo = Topology(seed=0, nodes=nodes, links=[Link(0, 1, 30.0), Link(1, 2, 30.0)])
+    rng, reference = random.Random(5), random.Random(5)
+    assert pick_endpoints(topo, rng) == (1, 2)
+    for _ in range(300):
+        reference.randrange(3)
+        reference.randrange(2)
+    assert rng.getstate() == reference.getstate()
 
 
 def test_suite_counts_and_fractions():

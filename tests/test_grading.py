@@ -5,16 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradednet.errors import (
-    EmptyKnowledgeBaseError,
-    InfeasibleBalanceError,
-    SaturatedChannelError,
-)
 from gradednet.grading import (
     DelayInputs,
+    EmptyKnowledgeBaseError,
     GradeRecord,
     GradingConfig,
+    InfeasibleBalanceError,
     KnowledgeBase,
+    SaturatedChannelError,
     average_delay,
     balance_traffic,
     build_knowledge_base,
@@ -99,6 +97,36 @@ def test_delay_increases_with_flow():
         value = average_delay(d)
         assert value > previous
         previous = value
+
+
+_RATE = st.floats(0.01, 100.0)
+
+
+@st.composite
+def _delay_inputs(draw):
+    """1-4 channels whose flows include 0 and the saturation boundary mu*C."""
+    mu = draw(_RATE)
+    capacities = draw(st.lists(_RATE, min_size=1, max_size=4))
+    lam = [draw(st.sampled_from((0.0, mu * c)) | st.floats(0.0, 2 * mu * c))
+           for c in capacities]
+    gamma_total = draw(st.just(sum(lam)) | _RATE)
+    return DelayInputs(tuple(lam), gamma_total, mu, tuple(capacities))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_delay_inputs())
+def test_delay_matches_per_channel_rule(d):
+    # the oracle states the rule one channel at a time, in plain Python
+    if any(d.mu * c <= lam for lam, c in zip(d.lam, d.capacities)):
+        with pytest.raises(SaturatedChannelError):
+            average_delay(d)
+    elif not any(d.lam):
+        assert average_delay(d) == 0.0
+    else:
+        expected = 0.0
+        for lam, c in zip(d.lam, d.capacities):
+            expected += (lam / d.gamma_total) * (1.0 / (d.mu * c - lam))
+        assert math.isclose(average_delay(d), expected, rel_tol=1e-12)
 
 
 def test_delay_inputs_validation():

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradednet.errors import CoincidentPointError
 from gradednet.topology import (
+    CoincidentPointError,
     EdgeArrays,
     Link,
     Node,

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gradednet.errors import CongestedLinkError
 from gradednet.traffic import (
+    CongestedLinkError,
     LinkState,
     available_bandwidth,
     link_load_at,
