@@ -159,6 +159,11 @@ def _sums(owner: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(owner, weights=values, minlength=n).astype(float, copy=False)
 
 
+def _saturated(lam: np.ndarray, capacities: np.ndarray, mu: float) -> np.ndarray:
+    """Whether each channel is saturated: its flow reaches its service rate, mu*C <= lambda."""
+    return mu * capacities <= lam
+
+
 def _node_delays(lam: np.ndarray, capacities: np.ndarray, mu: float,
                  gamma_total: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
     """Mean queueing delay of each of ``n`` nodes over its channels.
@@ -167,14 +172,14 @@ def _node_delays(lam: np.ndarray, capacities: np.ndarray, mu: float,
     to node ``owner[i]``; ``gamma_total`` holds each node's total traffic.
     A node's delay is the sum over its channels, left to right, of
     (lam_i / gamma) * 1 / (mu*C_i - lam_i).  It is inf when one of its
-    channels is saturated (mu*C_i <= lam_i) and 0.0 when all its flows are 0.
+    channels is saturated, or when the sum overflows a double, and 0.0 when
+    all its flows are 0.
     """
-    service = mu * capacities
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = (lam / gamma_total[owner]) * (1.0 / (service - lam))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        terms = (lam / gamma_total[owner]) * (1.0 / (mu * capacities - lam))
     delay = _sums(owner, terms, n)
     delay[_sums(owner, lam != 0.0, n) == 0] = 0.0
-    delay[_sums(owner, service <= lam, n) > 0] = math.inf
+    delay[_sums(owner, _saturated(lam, capacities, mu), n) > 0] = math.inf
     return delay
 
 
@@ -183,19 +188,19 @@ def average_delay(d: DelayInputs) -> float:
 
     Sum over channels of (lam_i / gamma) * 1 / (mu*C_i - lam_i), computed by
     ``_node_delays``, the code that grades every node: 0.0 when all flows are
-    0, and unbounded, raising SaturatedChannelError, when a channel's flow
-    reaches its service capacity.
+    0.  Raises SaturatedChannelError when a channel's flow reaches its
+    service capacity (mu*C_i <= lam_i).  A delay that overflows a double on
+    unsaturated channels is ``math.inf``.
     """
     if d.gamma_total <= 0 and any(d.lam):
         raise ValueError("gamma_total must be positive when flows are present")
-    owner = np.zeros(len(d.lam), dtype=np.intp)
-    delay = float(_node_delays(np.array(d.lam), np.array(d.capacities), d.mu,
-                               np.array([d.gamma_total]), owner, 1)[0])
-    if math.isinf(delay):
+    lam, capacities = np.array(d.lam), np.array(d.capacities)
+    if _saturated(lam, capacities, d.mu).any():
         channels = "; ".join(f"mu*C = {d.mu * c_i}, lambda = {lam_i}"
                              for lam_i, c_i in zip(d.lam, d.capacities))
         raise SaturatedChannelError(f"unbounded delay, a channel is saturated: {channels}")
-    return delay
+    owner = np.zeros(len(d.lam), dtype=np.intp)
+    return float(_node_delays(lam, capacities, d.mu, np.array([d.gamma_total]), owner, 1)[0])
 
 
 def select_feasible(topology: Topology, kb: KnowledgeBase,

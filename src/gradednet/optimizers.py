@@ -17,7 +17,6 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass
-from itertools import filterfalse
 from typing import Callable
 
 import numpy as np
@@ -119,6 +118,29 @@ class _Rows(dict):
         return found
 
 
+class _RankView(dict):
+    # The walk's view of a subgraph.  ``rank`` numbers the members in
+    # ascending id order, and entry i is member i's row as a bit set over
+    # ranks: bit rank[u] is set for each u in neighbors(members[i]).  A row
+    # is built from ``neighbors`` on its first lookup.  Every non-member has
+    # rank len(members), whose row is empty.
+
+    def __init__(self, members: list[int], neighbors: Callable[[int], tuple[int, ...]]):
+        super().__init__()
+        self.members, self.neighbors = members, neighbors
+        self.rank = {v: i for i, v in enumerate(members)}
+        self.outside = len(members)
+        self[self.outside] = 0
+
+    def __missing__(self, i: int) -> int:
+        rank = self.rank
+        row = 0
+        for u in self.neighbors(self.members[i]):
+            row |= 1 << rank[u]
+        self[i] = row
+        return row
+
+
 class Subgraph:
     """Adjacency, in id order, restricted to the allowed candidate set (plus the source).
 
@@ -126,7 +148,8 @@ class Subgraph:
     order, and ``()`` for any other id; it is the one way to read a row.  A
     row is built the first time it is looked up, so a search builds only the
     rows of the nodes it reaches, and a query that ends at the prune builds
-    almost none.
+    almost none.  The walks read the same rows as bit sets over the members'
+    ranks, a view built when the first walk runs.
     """
 
     def __init__(self, topology: Topology, allowed: frozenset[int]):
@@ -140,6 +163,14 @@ class Subgraph:
         # the row cache's own lookup: once a row is built, a call is one dict lookup
         self.neighbors: Callable[[int], tuple[int, ...]] = _Rows(
             topology.edges, allowed, inside).__getitem__
+        self._members = members
+        self._rank_view: _RankView | None = None
+
+    def _ranks(self) -> _RankView:
+        # the walks' view of the rows, built on the first call
+        if self._rank_view is None:
+            self._rank_view = _RankView(self._members, self.neighbors)
+        return self._rank_view
 
     @classmethod
     def from_topology(cls, topology: Topology, candidates: set[int], source: int) -> "Subgraph":
@@ -170,32 +201,47 @@ def _randbelow(getrandbits: Callable[[int], int], n: int) -> int:
     return r
 
 
-def _walk(neighbors: Callable[[int], tuple[int, ...]], prefix: PathNodes, destination: int,
+def _walk(rows: _RankView, prefix: PathNodes, destination: int,
           getrandbits: Callable[[int], int]) -> PathNodes | None:
     # Extend ``prefix`` by one uniform random walk over unvisited allowed
     # neighbors to ``destination``; the whole path, or None on a dead end.
     # Every path move is this walk: a scout extends the source alone, a bee
     # move and a GA mutation a kept prefix of the path they change.  The hot
-    # loop of both searches: filterfalse keeps the unvisited neighbors, in
-    # adjacency order, without a Python-level step per neighbor, and the pick
-    # is _randbelow inlined, so it draws what randrange(len(choices)) would.
+    # loop of both searches runs on bit sets over member ranks: the unvisited
+    # neighbors are ``row & ~visited``, and the pick is _randbelow inlined
+    # over their count, then the r-th lowest set bit.  Ranks keep id order,
+    # as rows do, so that bit is the neighbor randrange(len(choices)) would
+    # pick from the unvisited ones listed in neighbor order.
+    if prefix[-1] == destination:
+        return tuple(prefix)
+    members, rank, outside = rows.members, rows.rank, rows.outside
+    visited = 0
+    for v in prefix:
+        visited |= 1 << rank.get(v, outside)
+    cur, target = rank.get(prefix[-1], outside), rank.get(destination, -1)
     path = [*prefix]
-    visited = set(prefix)
-    seen = visited.__contains__
-    cur = path[-1]
-    while cur != destination:
-        choices = [*filterfalse(seen, neighbors(cur))]
-        n = len(choices)
-        if not n:
+    while True:
+        avail = rows[cur] & ~visited
+        if not avail:
             return None
+        n = avail.bit_count()
         k = n.bit_length()
         r = getrandbits(k)
         while r >= n:
             r = getrandbits(k)
-        cur = choices[r]
-        path.append(cur)
-        visited.add(cur)
-    return tuple(path)
+        # strip set bits from whichever end of ``avail`` is nearer the pick
+        if r + r < n:
+            for _ in range(r):
+                avail &= avail - 1
+            cur = (avail & -avail).bit_length() - 1
+        else:
+            for _ in range(n - 1 - r):
+                avail ^= 1 << (avail.bit_length() - 1)
+            cur = avail.bit_length() - 1
+        path.append(members[cur])
+        if cur == target:
+            return tuple(path)
+        visited |= 1 << cur
 
 
 def random_path(subgraph: Subgraph, source: int, destination: int,
@@ -207,9 +253,9 @@ def random_path(subgraph: Subgraph, source: int, destination: int,
     """
     if source not in subgraph.allowed or destination not in subgraph.allowed:
         return None
-    neighbors, getrandbits = subgraph.neighbors, rng.getrandbits
+    rows, getrandbits = subgraph._ranks(), rng.getrandbits
     for _ in range(WALK_RESTARTS):
-        found = _walk(neighbors, (source,), destination, getrandbits)
+        found = _walk(rows, (source,), destination, getrandbits)
         if found is not None:
             return found
     return None
@@ -222,10 +268,10 @@ def neighbor_path(path: PathNodes, subgraph: Subgraph, rng: random.Random) -> Pa
     avoids the kept prefix.  If none of ``REGROW_RETRIES`` regrowths succeeds
     the original path is returned unchanged.
     """
-    neighbors, getrandbits = subgraph.neighbors, rng.getrandbits
+    rows, getrandbits = subgraph._ranks(), rng.getrandbits
     for _ in range(REGROW_RETRIES):
         cut = _randbelow(getrandbits, len(path) - 1)
-        regrown = _walk(neighbors, path[:cut + 1], path[-1], getrandbits)
+        regrown = _walk(rows, path[:cut + 1], path[-1], getrandbits)
         if regrown is not None:
             return regrown
     return path
@@ -435,7 +481,12 @@ def ga_search(subgraph: Subgraph, source: int, destination: int,
               observer: Observer | None = None) -> RouteResult:
     """Genetic search: roulette selection, shared-node crossover, suffix-regrow mutation."""
     search = _Search(subgraph, source, destination, kb, rng, bw_threshold, observer)
-    neighbors, getrandbits = subgraph.neighbors, rng.getrandbits
+    # Each member is evaluated once, when it joins the population.
+    population = search.populate(cfg.population_size)
+    if not population:
+        return search.result()
+    # bound only now, so a query that ends at the prune builds no rank view
+    rows, getrandbits = subgraph._ranks(), rng.getrandbits
 
     def mutate(path: PathNodes) -> PathNodes:
         # Per intermediate gene: with probability mutation_rate, regrow the
@@ -445,13 +496,8 @@ def ga_search(subgraph: Subgraph, source: int, destination: int,
             return path
         for i in range(1, len(path) - 1):
             if rng.random() < cfg.mutation_rate:
-                return _walk(neighbors, path[:i], path[-1], getrandbits) or path
+                return _walk(rows, path[:i], path[-1], getrandbits) or path
         return path
-
-    # Each member is evaluated once, when it joins the population.
-    population = search.populate(cfg.population_size)
-    if not population:
-        return search.result()
 
     for _ in range(cfg.generations):
         weights = [max(value, 0.0) for _, value in population]

@@ -242,15 +242,21 @@ def random_path_by_randrange(subgraph, source: int, destination: int, rng):
     return None
 
 
+def extend_by_randrange(subgraph, prefix, destination: int, rng):
+    """``prefix`` extended by ``walk_by_randrange`` from its last node, avoiding
+    all of it; the whole path, or None on a dead end."""
+    tail = walk_by_randrange(subgraph.neighbors, prefix[-1], destination, set(prefix), rng)
+    return None if tail is None else tuple(prefix) + tail[1:]
+
+
 def neighbor_path_by_randrange(path, subgraph, rng):
-    """``neighbor_path`` built on ``walk_by_randrange``: a random cut, then a
+    """``neighbor_path`` built on ``extend_by_randrange``: a random cut, then a
     regrown suffix that avoids the kept prefix."""
     for _ in range(REGROW_RETRIES):
         cut = rng.randrange(len(path) - 1)
-        prefix = path[:cut + 1]
-        tail = walk_by_randrange(subgraph.neighbors, path[cut], path[-1], set(prefix), rng)
-        if tail is not None:
-            return prefix + tail[1:]
+        regrown = extend_by_randrange(subgraph, path[:cut + 1], path[-1], rng)
+        if regrown is not None:
+            return regrown
     return path
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,14 @@ def test_delay_saturated_channel_raises():
     d = DelayInputs(lam=(2.0,), gamma_total=2.0, mu=1.0, capacities=(2.0,))
     with pytest.raises(SaturatedChannelError):
         average_delay(d)
+
+
+def test_delay_overflow_is_inf_not_saturation():
+    # subnormal capacities: mu*C > lambda, but 1 / (mu*C - lambda) overflows
+    d = DelayInputs(lam=(1e-310,), gamma_total=1e-310, mu=1.0, capacities=(2e-310,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert average_delay(d) == math.inf
 
 
 def test_delay_increases_with_flow():

@@ -1,14 +1,18 @@
 import hashlib
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradednet import optimizers
 from gradednet.bench import (
+    grade_topology,
     prepare_trial,
+    prune,
     run_suite,
     run_trial,
     save_summary_json,
@@ -39,6 +43,7 @@ from oracles import (
     adjacency,
     bfs_hops,
     enumerate_best_bottleneck,
+    extend_by_randrange,
     neighbor_path_by_randrange,
     random_path_by_randrange,
     roulette_by_scan,
@@ -229,25 +234,91 @@ def test_randbelow_draws_as_randrange():
         assert rng.getstate() == oracle.getstate()
 
 
-@settings(max_examples=300, deadline=None)
-@given(_subgraph_walks(), st.integers(0, 2 ** 32 - 1), st.data())
+@st.composite
+def _sparse_subgraphs(draw):
+    # A seeded topology on up to 80 nodes with random link bandwidths, and a
+    # random allowed subset, so member ids are sparse and a walk's bit sets
+    # run past 30 and 64 bits; then a start path of at least two distinct
+    # nodes, either scouted inside the subgraph or drawn from every node, so
+    # that its cut prefix and its destination may be non-members.
+    n = draw(st.integers(2, 80) | st.integers(66, 80))
+    seed = draw(st.integers(0, 2 ** 16))
+    topo = generate_topology(n, draw(st.floats(0.05, 0.6)), seed)
+    pick = random.Random(seed)
+    kb = KnowledgeBase(link_available_mbps={
+        (min(l.a, l.b), max(l.a, l.b)): pick.uniform(0.0, 30.0) for l in topo.links})
+    keep = draw(st.floats(0.2, 1.0) | st.just(1.0))
+    sub = Subgraph(topo, frozenset(v for v in range(n) if pick.random() < keep))
+    members = sorted(sub.allowed)
+    start = None
+    if len(members) >= 2 and draw(st.booleans()):
+        source, destination = draw(st.lists(st.sampled_from(members), min_size=2, max_size=2,
+                                            unique=True))
+        start = random_path(Subgraph(topo, sub.allowed), source, destination, pick)
+    if start is None:
+        start = tuple(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=12,
+                                    unique=True)))
+    return topo, kb, sub, start
+
+
+def _nodes_of(sub):
+    # any node, a member more often than not
+    members = st.sampled_from(sorted(sub.allowed)) if sub.allowed else st.nothing()
+    return members | members | st.integers(0, sub.topology.n - 1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_subgraph_walks().map(lambda case: (case[2], case[3]))
+       | _sparse_subgraphs().map(lambda case: (case[2], case[3])),
+       st.integers(0, 2 ** 32 - 1), st.data())
 def test_walks_draw_as_randrange(case, seed, data):
-    # Small random subgraphs, with dead ends where a neighbor is not allowed
-    # and with nodes of degree 1; scouting to any node, then a chain of
-    # perturbations from a random start path, must give the oracle's paths
-    # and leave the generator where randrange leaves it.
-    _, _, sub, start, _ = case
-    destination = data.draw(st.integers(0, sub.topology.n - 1))
+    # Small subgraphs, with dead ends where a neighbor is not allowed and
+    # with nodes of degree 1, and sparse ones on up to 80 nodes: scouting
+    # between any two nodes, then a chain of perturbations from the start
+    # path, must give the oracle's paths and leave the generator where
+    # randrange leaves it.
+    sub, start = case
+    source, destination = data.draw(_nodes_of(sub)), data.draw(_nodes_of(sub))
     rng, oracle = random.Random(seed), random.Random(seed)
-    assert (random_path(sub, start[0], destination, rng)
-            == random_path_by_randrange(sub, start[0], destination, oracle))
+    assert (random_path(sub, source, destination, rng)
+            == random_path_by_randrange(sub, source, destination, oracle))
     assert rng.getstate() == oracle.getstate()
     path = expected = start
-    for _ in range(3):
+    for _ in range(5):
         path = neighbor_path(path, sub, rng)
         expected = neighbor_path_by_randrange(expected, sub, oracle)
         assert path == expected
         assert rng.getstate() == oracle.getstate()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sparse_subgraphs(), st.sampled_from([0.3, 1.0]), st.sampled_from([0.0, 4.5]),
+       st.integers(0, 2 ** 32 - 1), st.data())
+def test_search_walks_draw_as_randrange(case, mutation_rate, threshold, seed, data):
+    # Every walk of a search (its scouts, GA's mutations and repairs, the
+    # bees' moves) replaced by the oracle's walk must leave the search's
+    # result, its observer stream and the generator's state unchanged.
+    topo, kb, sub, _ = case
+    source, destination = data.draw(_nodes_of(sub)), data.draw(_nodes_of(sub))
+    if source == destination:
+        return
+    optimizer, cfg = data.draw(st.sampled_from([
+        (ga_search, GaConfig(population_size=4, generations=3, mutation_rate=mutation_rate)),
+        (abc_search, AbcConfig(colony_size=3, max_cycles=2, abc_limit=1)),
+    ]))
+
+    def run():
+        rng, events = random.Random(seed), []
+        result = optimizer(sub, source, destination, cfg, kb, rng, bw_threshold=threshold,
+                           observer=lambda kind, path: events.append((kind, path)))
+        return result, events, rng.getstate()
+
+    def oracle_walk(rows, prefix, destination, getrandbits):
+        return extend_by_randrange(sub, prefix, destination, getrandbits.__self__)
+
+    walked = run()
+    with mock.patch.object(optimizers, "_walk", oracle_walk):
+        assert walked == run()
 
 
 @st.composite
@@ -413,7 +484,7 @@ def test_ga_single_path_graph():
 
 def test_searches_disconnected_destination():
     # Destination 3 is cut off from the source in the first subgraph and is
-    # not a member of the second, where no search may draw at all.
+    # not a member of the second, where no search may draw or build a row.
     topo = _topology([(0.1, 0.1), (0.2, 0.2), (0.8, 0.8), (0.9, 0.9)],
                      [(0, 1), (2, 3)])
     kb = _kb_for(topo)
@@ -429,6 +500,8 @@ def test_searches_disconnected_destination():
             assert result.fitness_trace == (0.0,) and events == []
             if 3 not in sub.allowed:
                 assert rng.getstate() == state
+                # the query ends at the prune: no row and no rank view was built
+                assert not sub.neighbors.__self__ and sub._rank_view is None
 
 
 def test_search_determinism():
@@ -666,3 +739,38 @@ def test_observer_stream_pinned(n, k):
                observer=lambda kind, path, algo=algo: events.append((algo, kind, path)))
     digest = hashlib.sha256(repr(events).encode()).hexdigest()
     assert digest == PINNED_OBSERVER_STREAMS[(n, k)]
+
+
+# sha256 of repr((result, events)) for one query at route-refresh scale:
+# `generate --n 1024 --seed 11`, graded with seed 11, from source 326 to
+# destination 147, whose pruned subgraph has 212 members.  Each search runs
+# on random.Random(11); events lists every (kind, path) it reports.
+PINNED_SEARCHES_1024 = {
+    "abc": "f351377bbb0b4f5938255ebd334409adfa7a6a444ae5365463c342589c1c383c",
+    "ga": "8a214908604b27ffcbac92c18f5dc1bde39da79483712c22973fa9bd3df7899d",
+}
+
+
+@pytest.fixture(scope="module")
+def trial_1024():
+    config = RunConfig(seed=11)
+    topology = generate_topology(1024, config.link_density, 11,
+                                 capacity_mbps=config.max_bandwidth_mbps,
+                                 lifetime_scale=config.lifetime_scale)
+    kb = grade_topology(topology, config, 11)
+    return prune(topology, kb, 326, 147, config.selection_mode), config
+
+
+@pytest.mark.parametrize("algo, optimizer, cfg", [
+    ("abc", abc_search, AbcConfig(colony_size=10, max_cycles=5)),
+    ("ga", ga_search, GaConfig()),
+])
+def test_search_pinned_at_n_1024(trial_1024, algo, optimizer, cfg):
+    trial, config = trial_1024
+    assert len(trial.subgraph.allowed) == 212
+    events = []
+    result = optimizer(trial.subgraph, trial.source, trial.destination, cfg, trial.kb,
+                       random.Random(11), bw_threshold=config.bw_threshold_mbps,
+                       observer=lambda kind, path: events.append((kind, path)))
+    digest = hashlib.sha256(repr((result, events)).encode()).hexdigest()
+    assert digest == PINNED_SEARCHES_1024[algo]
