@@ -286,9 +286,9 @@ PLOT_KINDS = ("traffic-intensity", "throughput")
 
 
 def emit_plot_data(records: list[TrialRecord], kind: str, *,
-                   packet_size_bits: int = 1600,
-                   link_capacity_mbps: float = 30.0,
-                   flow_rate_mbps: float = 1.0) -> list[tuple]:
+                   packet_size_bits: int = RunConfig.packet_size_bytes * 8,
+                   link_capacity_mbps: float = RunConfig.max_bandwidth_mbps,
+                   flow_rate_mbps: float = RunConfig.flow_rate_mbps) -> list[tuple]:
     """Plot-ready rows (n, seed, algo, cycle, value), one per algorithm per trial.
 
     ``throughput`` reports the best path's bottleneck bandwidth in Mbps at its

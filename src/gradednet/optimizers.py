@@ -13,6 +13,7 @@ ever seen; the two differ only in their phase loops.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import operator
 import random
@@ -22,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .grading import KnowledgeBase
-from .topology import EdgeArrays, Topology
+from .topology import Topology
 
 PathNodes = tuple[int, ...]
 Observer = Callable[[str, PathNodes], None]
@@ -100,26 +101,7 @@ class RouteResult:
 
 
 class _Rows(dict):
-    # A member's row, built on its first lookup and then cached: one slice of
-    # the topology's CSR neighbors, masked by ``inside``, as ints in neighbor
-    # order.  Any other id, negative and out-of-range ones too, has no row.
-
-    def __init__(self, edges: EdgeArrays, allowed: frozenset[int], inside: np.ndarray):
-        super().__init__()
-        self.edges, self.allowed, self.inside = edges, allowed, inside
-
-    def __missing__(self, v: int) -> tuple[int, ...]:
-        if v not in self.allowed:
-            return ()
-        edges = self.edges
-        start = int(edges.starts[v])
-        row = edges.neighbor[start:start + int(edges.degree[v])]
-        self[v] = found = tuple(row[self.inside[row]].tolist())
-        return found
-
-
-class _RankView(dict):
-    # The walk's view of a subgraph.  ``rank`` numbers the members in
+    # The walks' one cache of rows.  ``rank`` numbers the members in
     # ascending id order, and entry i is member i's row as a bit set over
     # ranks: bit rank[u] is set for each u in neighbors(members[i]).  A row
     # is built from ``neighbors`` on its first lookup.  Every non-member has
@@ -144,12 +126,13 @@ class _RankView(dict):
 class Subgraph:
     """Adjacency, in id order, restricted to the allowed candidate set (plus the source).
 
-    ``neighbors(v)`` is member ``v``'s neighbors in the set, in neighbor
-    order, and ``()`` for any other id; it is the one way to read a row.  A
-    row is built the first time it is looked up, so a search builds only the
-    rows of the nodes it reaches, and a query that ends at the prune builds
-    almost none.  The walks read the same rows as bit sets over the members'
-    ranks, a view built when the first walk runs.
+    ``neighbors(v)`` reads member ``v``'s neighbors in the set from the
+    topology's CSR rows on each call, in ascending id order, and gives
+    ``()`` for any other id; it is the one way to read a row.  The walks
+    read the same rows as bit sets over the members' ranks, their one
+    cache, built when the first walk runs and filled one row at a time
+    from ``neighbors`` as the walks reach members.  A query that ends at
+    the prune builds none of it.
     """
 
     def __init__(self, topology: Topology, allowed: frozenset[int]):
@@ -158,19 +141,21 @@ class Subgraph:
         members = sorted(allowed)
         if members and not (0 <= members[0] and members[-1] < topology.n):
             raise ValueError(f"allowed nodes must be in 0..{topology.n - 1}")
-        inside = np.zeros(topology.n, dtype=bool)
-        inside[members] = True
-        # the row cache's own lookup: once a row is built, a call is one dict lookup
-        self.neighbors: Callable[[int], tuple[int, ...]] = _Rows(
-            topology.edges, allowed, inside).__getitem__
+        self._inside = np.zeros(topology.n, dtype=bool)
+        self._inside[members] = True
         self._members = members
-        self._rank_view: _RankView | None = None
 
-    def _ranks(self) -> _RankView:
-        # the walks' view of the rows, built on the first call
-        if self._rank_view is None:
-            self._rank_view = _RankView(self._members, self.neighbors)
-        return self._rank_view
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        if v not in self.allowed:
+            return ()
+        edges = self.topology.edges
+        start = int(edges.starts[v])
+        row = edges.neighbor[start:start + int(edges.degree[v])]
+        return tuple(row[self._inside[row]].tolist())
+
+    @functools.cached_property
+    def _rows(self) -> _Rows:
+        return _Rows(self._members, self.neighbors)
 
     @classmethod
     def from_topology(cls, topology: Topology, candidates: set[int], source: int) -> "Subgraph":
@@ -201,7 +186,7 @@ def _randbelow(getrandbits: Callable[[int], int], n: int) -> int:
     return r
 
 
-def _walk(rows: _RankView, prefix: PathNodes, destination: int,
+def _walk(rows: _Rows, prefix: PathNodes, destination: int,
           getrandbits: Callable[[int], int]) -> PathNodes | None:
     # Extend ``prefix`` by one uniform random walk over unvisited allowed
     # neighbors to ``destination``; the whole path, or None on a dead end.
@@ -249,11 +234,13 @@ def random_path(subgraph: Subgraph, source: int, destination: int,
     """Scout move: seeded random walks until one reaches the destination.
 
     Returns None after ``WALK_RESTARTS`` dead ends; absence of a path is a
-    value, not an error.
+    value, not an error.  Equal endpoints are a ValueError.
     """
+    if source == destination:
+        raise ValueError("source and destination must differ")
     if source not in subgraph.allowed or destination not in subgraph.allowed:
         return None
-    rows, getrandbits = subgraph._ranks(), rng.getrandbits
+    rows, getrandbits = subgraph._rows, rng.getrandbits
     for _ in range(WALK_RESTARTS):
         found = _walk(rows, (source,), destination, getrandbits)
         if found is not None:
@@ -266,9 +253,12 @@ def neighbor_path(path: PathNodes, subgraph: Subgraph, rng: random.Random) -> Pa
 
     The cut point is any node except the destination; the regrown suffix
     avoids the kept prefix.  If none of ``REGROW_RETRIES`` regrowths succeeds
-    the original path is returned unchanged.
+    the original path is returned unchanged.  A path of fewer than two
+    nodes has no cut point and is a ValueError.
     """
-    rows, getrandbits = subgraph._ranks(), rng.getrandbits
+    if len(path) < 2:
+        raise ValueError(f"path {path} has fewer than 2 nodes")
+    rows, getrandbits = subgraph._rows, rng.getrandbits
     for _ in range(REGROW_RETRIES):
         cut = _randbelow(getrandbits, len(path) - 1)
         regrown = _walk(rows, path[:cut + 1], path[-1], getrandbits)
@@ -485,8 +475,8 @@ def ga_search(subgraph: Subgraph, source: int, destination: int,
     population = search.populate(cfg.population_size)
     if not population:
         return search.result()
-    # bound only now, so a query that ends at the prune builds no rank view
-    rows, getrandbits = subgraph._ranks(), rng.getrandbits
+    # bound only now, so a query that ends at the prune builds no rows
+    rows, getrandbits = subgraph._rows, rng.getrandbits
 
     def mutate(path: PathNodes) -> PathNodes:
         # Per intermediate gene: with probability mutation_rate, regrow the

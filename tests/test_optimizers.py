@@ -280,8 +280,12 @@ def test_walks_draw_as_randrange(case, seed, data):
     sub, start = case
     source, destination = data.draw(_nodes_of(sub)), data.draw(_nodes_of(sub))
     rng, oracle = random.Random(seed), random.Random(seed)
-    assert (random_path(sub, source, destination, rng)
-            == random_path_by_randrange(sub, source, destination, oracle))
+    if source == destination:
+        with pytest.raises(ValueError, match="must differ"):
+            random_path(sub, source, destination, rng)
+    else:
+        assert (random_path(sub, source, destination, rng)
+                == random_path_by_randrange(sub, source, destination, oracle))
     assert rng.getstate() == oracle.getstate()
     path = expected = start
     for _ in range(5):
@@ -289,6 +293,48 @@ def test_walks_draw_as_randrange(case, seed, data):
         expected = neighbor_path_by_randrange(expected, sub, oracle)
         assert path == expected
         assert rng.getstate() == oracle.getstate()
+
+
+def test_walks_reject_degenerate_input():
+    # A one-node path has no cut point and equal endpoints have no path:
+    # both are errors raised before any draw and before any row is built.
+    sub = Subgraph(_line_topology(), frozenset({0, 1, 2}))
+    rng = random.Random(0)
+    state = rng.getstate()
+    for path in ((1,), ()):
+        with pytest.raises(ValueError):
+            neighbor_path(path, sub, rng)
+    for v in (1, 3):
+        with pytest.raises(ValueError, match="must differ"):
+            random_path(sub, v, v, rng)
+    assert rng.getstate() == state
+    assert "_rows" not in vars(sub)
+
+
+@pytest.mark.parametrize("m", [65, 129, 257])
+def test_walks_draw_as_randrange_on_complete_subgraphs(m):
+    # Rows of up to m - 1 neighbors, so a step's candidate count crosses
+    # every power of two below m and the bit sets run past 64 bits.  The
+    # topology is complete on m + 1 nodes and node m is not a member: a walk
+    # towards it visits every member before its dead end, drawing once at
+    # each candidate count from m - 1 down to 1.
+    n = m + 1
+    topo = _topology([((i + 0.5) / n, 0.5) for i in range(n)],
+                     [(a, b) for a in range(n) for b in range(a + 1, n)])
+    sub = Subgraph(topo, frozenset(range(m)))
+    for seed in range(3):
+        rng, oracle = random.Random(seed), random.Random(seed)
+        assert neighbor_path((0, m), sub, rng) == neighbor_path_by_randrange((0, m), sub, oracle)
+        assert rng.getstate() == oracle.getstate()
+        path = random_path(sub, 0, m - 1, rng)
+        assert path == random_path_by_randrange(sub, 0, m - 1, oracle)
+        assert rng.getstate() == oracle.getstate()
+        expected = path
+        for _ in range(20):
+            path = neighbor_path(path, sub, rng)
+            expected = neighbor_path_by_randrange(expected, sub, oracle)
+            assert path == expected
+            assert rng.getstate() == oracle.getstate()
 
 
 @settings(max_examples=80, deadline=None)
@@ -346,18 +392,25 @@ def test_subgraph_is_link_adjacency_restricted_to_allowed(case):
 @settings(max_examples=300, deadline=None)
 @given(_topologies_and_allowed(), st.data())
 def test_subgraph_rows_built_on_first_use_match_the_oracle(case, data):
-    # Rows are built as they are first read, in any order and some of them
-    # twice; a non-member, a negative id or one past the last node has none
-    # and must not wrap around to another node's row.
+    # The walks' rows are built as they are first read, in any order and some
+    # of them twice, and each decodes to the oracle's row; ``neighbors`` of a
+    # non-member, a negative id or one past the last node is empty and must
+    # not wrap around to another node's row.
     topo, allowed = case
     adj = adjacency(topo)
     expected = {v: tuple(sorted(adj[v] & allowed)) if v in allowed else ()
                 for v in range(-1, topo.n + 2)}
     sub = Subgraph(topo, allowed)
-    reads = data.draw(st.lists(st.sampled_from(sorted(expected)), max_size=3 * topo.n + 6))
-    for v in reads:
+    assert "_rows" not in vars(sub)
+    members = sorted(allowed)
+    reads = data.draw(st.lists(st.integers(0, len(members)), max_size=3 * len(members) + 3))
+    for i in reads:
+        row = sub._rows[i]
+        decoded = tuple(members[j] for j in range(row.bit_length()) if row >> j & 1)
+        assert decoded == (expected[members[i]] if i < len(members) else ())
+    for v in data.draw(st.lists(st.sampled_from(sorted(expected)), max_size=topo.n + 6)):
         assert sub.neighbors(v) == expected[v]
-    assert [sub.neighbors(v) for v in sorted(allowed)] == [expected[v] for v in sorted(allowed)]
+    assert sub.neighbors(-1) == sub.neighbors(topo.n + 1) == ()
 
 
 def test_subgraph_rejects_unknown_nodes():
@@ -500,8 +553,8 @@ def test_searches_disconnected_destination():
             assert result.fitness_trace == (0.0,) and events == []
             if 3 not in sub.allowed:
                 assert rng.getstate() == state
-                # the query ends at the prune: no row and no rank view was built
-                assert not sub.neighbors.__self__ and sub._rank_view is None
+                # the query ends at the prune: no rows were built
+                assert "_rows" not in vars(sub)
 
 
 def test_search_determinism():
