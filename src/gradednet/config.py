@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .grading import SELECTION_MODES, GradingConfig
 from .optimizers import AbcConfig, GaConfig
-from .topology import DEFAULT_CAPACITY_MBPS, check_json_value, is_finite, read_json
+from .topology import DEFAULT_CAPACITY_MBPS, check_json_value, check_positive, is_finite, read_json
 
 DEFAULT_NODE_COUNTS = (15, 16, 32, 64, 128, 256, 512, 1024)
 
@@ -74,10 +74,7 @@ class RunConfig(GaConfig, AbcConfig, GradingConfig):
             raise ValueError(f"node_counts entries must be distinct, got {list(self.node_counts)}")
         if not 0.0 < self.link_density <= 1.0:
             raise ValueError(f"link_density must be in (0, 1], got {self.link_density}")
-        for name, meaning in _POSITIVE_FIELDS.items():
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} ({meaning}) must be positive, "
-                                 f"got {getattr(self, name)!r}")
+        check_positive(self, _POSITIVE_FIELDS)
         if not is_finite(self.packet_size_bytes * 8):
             raise ValueError(f"packet_size_bytes (packet size) in bits must fit a float, "
                              f"got {self.packet_size_bytes!r}")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .topology import DEFAULT_LIFETIME_SCALE, Topology, write_json
+from .topology import DEFAULT_LIFETIME_SCALE, Topology, check_positive, write_json
 from .traffic import LinkState, available_bandwidth, load_fraction
 
 SELECTION_MODES = ("best-classes", "literal")
@@ -92,11 +92,8 @@ class GradingConfig:
     grade_time_s: float = 0.0
 
     def __post_init__(self) -> None:
-        for name, meaning in (("alpha", "arrival rate"), ("arrival_horizon_s", "arrival horizon"),
-                              ("flow_rate_mbps", "flow rate")):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} ({meaning}) must be positive, "
-                                 f"got {getattr(self, name)!r}")
+        check_positive(self, {"alpha": "arrival rate", "arrival_horizon_s": "arrival horizon",
+                              "flow_rate_mbps": "flow rate"})
         if not self.alpha * self.arrival_horizon_s <= POISSON_LAM_MAX:
             raise ValueError(f"alpha * arrival_horizon_s (mean arrivals per window) must be "
                              f"at most {POISSON_LAM_MAX!r}, got {self.alpha!r} * "

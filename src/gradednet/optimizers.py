@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .grading import KnowledgeBase
-from .topology import Topology
+from .topology import EdgeArrays, Topology
 
 PathNodes = tuple[int, ...]
 Observer = Callable[[str, PathNodes], None]
@@ -100,24 +100,35 @@ class RouteResult:
         return self.best_path is not None
 
 
-class _Rows(dict):
-    # The walks' one cache of rows.  ``rank`` numbers the members in
-    # ascending id order, and entry i is member i's row as a bit set over
-    # ranks: bit rank[u] is set for each u in neighbors(members[i]).  A row
-    # is built from ``neighbors`` on its first lookup.  Every non-member has
-    # rank len(members), whose row is empty.
+def _member_row(edges: EdgeArrays, inside: np.ndarray, v: int) -> np.ndarray:
+    # Member v's CSR slice of ``edges``, masked by the member mask ``inside``:
+    # its neighbors in the set, ascending ids.  The one row reader.
+    start = int(edges.starts[v])
+    row = edges.neighbor[start:start + int(edges.degree[v])]
+    return row[inside[row]]
 
-    def __init__(self, members: list[int], neighbors: Callable[[int], tuple[int, ...]]):
+
+class _Rows(dict):
+    # The walks' one cache of rows, built from the topology's edge arrays and
+    # the member mask alone, so it holds no reference to its subgraph.
+    # ``members`` lists the members in ascending id order, which is rank
+    # order, and entry i is member i's row as a bit set over ranks: bit
+    # rank[u] is set for each u in member i's row.  A row is built on its
+    # first lookup.  Every non-member has rank len(members), whose row is
+    # empty.
+
+    def __init__(self, edges: EdgeArrays, inside: np.ndarray):
         super().__init__()
-        self.members, self.neighbors = members, neighbors
-        self.rank = {v: i for i, v in enumerate(members)}
-        self.outside = len(members)
+        self.edges, self.inside = edges, inside
+        self.members = np.flatnonzero(inside).tolist()
+        self.rank = {v: i for i, v in enumerate(self.members)}
+        self.outside = len(self.members)
         self[self.outside] = 0
 
     def __missing__(self, i: int) -> int:
         rank = self.rank
         row = 0
-        for u in self.neighbors(self.members[i]):
+        for u in _member_row(self.edges, self.inside, self.members[i]).tolist():
             row |= 1 << rank[u]
         self[i] = row
         return row
@@ -126,36 +137,32 @@ class _Rows(dict):
 class Subgraph:
     """Adjacency, in id order, restricted to the allowed candidate set (plus the source).
 
-    ``neighbors(v)`` reads member ``v``'s neighbors in the set from the
-    topology's CSR rows on each call, in ascending id order, and gives
-    ``()`` for any other id; it is the one way to read a row.  The walks
-    read the same rows as bit sets over the members' ranks, their one
-    cache, built when the first walk runs and filled one row at a time
-    from ``neighbors`` as the walks reach members.  A query that ends at
-    the prune builds none of it.
+    The member mask over node ids is the subgraph's one private member
+    index.  ``neighbors(v)`` reads member ``v``'s CSR row of the topology's
+    edges, masked by it, on each call, in ascending id order, and gives
+    ``()`` for any other id.  The walks read the same rows, from the same
+    reader, as bit sets over the members' ranks, their one cache: built
+    from the edge arrays and the mask when the first walk runs, one row at
+    a time as the walks reach members, and holding no reference back to
+    the subgraph.  A query that ends at the prune builds none of it.
     """
 
     def __init__(self, topology: Topology, allowed: frozenset[int]):
         self.topology = topology
         self.allowed = allowed
-        members = sorted(allowed)
-        if members and not (0 <= members[0] and members[-1] < topology.n):
+        if allowed and not (0 <= min(allowed) and max(allowed) < topology.n):
             raise ValueError(f"allowed nodes must be in 0..{topology.n - 1}")
         self._inside = np.zeros(topology.n, dtype=bool)
-        self._inside[members] = True
-        self._members = members
+        self._inside[list(allowed)] = True
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         if v not in self.allowed:
             return ()
-        edges = self.topology.edges
-        start = int(edges.starts[v])
-        row = edges.neighbor[start:start + int(edges.degree[v])]
-        return tuple(row[self._inside[row]].tolist())
+        return tuple(_member_row(self.topology.edges, self._inside, v).tolist())
 
     @functools.cached_property
     def _rows(self) -> _Rows:
-        return _Rows(self._members, self.neighbors)
+        return _Rows(self.topology.edges, self._inside)
 
     @classmethod
     def from_topology(cls, topology: Topology, candidates: set[int], source: int) -> "Subgraph":

@@ -348,6 +348,15 @@ def check_json_value(value, kind: type, what: str) -> None:
         raise ValueError(f"{what} must be finite, got {value!r}")
 
 
+def check_positive(owner, fields: dict[str, str]) -> None:
+    """The "must be positive" rule of config fields: each field of ``owner``
+    named in ``fields``, in order, with what it is."""
+    for name, meaning in fields.items():
+        value = getattr(owner, name)
+        if value <= 0:
+            raise ValueError(f"{name} ({meaning}) must be positive, got {value!r}")
+
+
 def read_json(path: str | Path):
     """The JSON document in ``path``; nesting too deep to parse is a ValueError."""
     try:

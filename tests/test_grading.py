@@ -267,6 +267,17 @@ def test_build_kb_rejects_misaligned_link_states():
                              np.random.default_rng(0))
 
 
+def test_available_on_reads_a_link_either_way_round():
+    # 18 and 6 flows of 1 Mbps on 30 Mbps links leave 12 and 24 Mbps
+    kb = build_knowledge_base(_two_link_topology(), LinkState(np.array([18.0, 6.0])),
+                              GradingConfig(), np.random.default_rng(0))
+    for a, b, free in ((0, 1, 12.0), (1, 2, 24.0)):
+        assert kb.available_on(a, b) == kb.available_on(b, a) == free
+    for a, b in ((0, 2), (2, 0), (1, 1), (2, 3)):
+        with pytest.raises(ValueError, match=f"no link between {a} and {b} "):
+            kb.available_on(a, b)
+
+
 # ---------------------------------------------------------------- selection
 
 def _kb_with_priorities(priorities):

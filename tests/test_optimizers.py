@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import math
 import random
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -415,9 +417,27 @@ def test_subgraph_rows_built_on_first_use_match_the_oracle(case, data):
 
 def test_subgraph_rejects_unknown_nodes():
     topo = _line_topology()
-    for allowed in ({0, 3}, {-1, 1}):
-        with pytest.raises(ValueError):
+    for allowed in ({0, 3}, {-1, 1}, {0, 1, 2, 3}):
+        with pytest.raises(ValueError, match="allowed nodes must be in"):
             Subgraph(topo, frozenset(allowed))
+
+
+def test_walked_subgraph_is_freed_by_reference_counting():
+    # The walks' rows hold the topology's edge arrays and the member mask,
+    # never the subgraph, so a subgraph whose walks have run is freed when
+    # its last reference goes, without the cyclic garbage collector.
+    topo, kb, sub = _random_setup(5)
+    alive = weakref.ref(sub)
+    gc.disable()
+    try:
+        rng = random.Random(0)
+        assert random_path(sub, 0, topo.n - 1, rng) is not None
+        ga_search(sub, 0, topo.n - 1, GaConfig(population_size=4, generations=3), kb, rng)
+        assert "_rows" in vars(sub)
+        del sub
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------- roulette
