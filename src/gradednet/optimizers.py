@@ -112,10 +112,12 @@ class _Rows(dict):
     # The walks' one cache of rows, built from the topology's edge arrays and
     # the member mask alone, so it holds no reference to its subgraph.
     # ``members`` lists the members in ascending id order, which is rank
-    # order, and entry i is member i's row as a bit set over ranks: bit
-    # rank[u] is set for each u in member i's row.  A row is built on its
-    # first lookup.  Every non-member has rank len(members), whose row is
-    # empty.
+    # order, and entry i is member i's row as ``(bits, ranks, degree)``:
+    # ``ranks`` lists the ranks of its neighbors in ascending order, ``bits``
+    # is the same set as an int with bit rank[u] set for each neighbor u, and
+    # ``degree`` is ``len(ranks)``.  A row is built on its first lookup.
+    # Every non-member has rank len(members), whose row is empty.
+    # ``upto[j]`` has bits 0..j set.
 
     def __init__(self, edges: EdgeArrays, inside: np.ndarray):
         super().__init__()
@@ -123,14 +125,16 @@ class _Rows(dict):
         self.members = np.flatnonzero(inside).tolist()
         self.rank = {v: i for i, v in enumerate(self.members)}
         self.outside = len(self.members)
-        self[self.outside] = 0
+        self.upto = [(2 << j) - 1 for j in range(self.outside)]
+        self[self.outside] = (0, [], 0)
 
-    def __missing__(self, i: int) -> int:
+    def __missing__(self, i: int) -> tuple[int, list[int], int]:
         rank = self.rank
-        row = 0
-        for u in _member_row(self.edges, self.inside, self.members[i]).tolist():
-            row |= 1 << rank[u]
-        self[i] = row
+        ranks = [rank[u] for u in _member_row(self.edges, self.inside, self.members[i]).tolist()]
+        bits = 0
+        for j in ranks:
+            bits |= 1 << j
+        row = self[i] = (bits, ranks, len(ranks))
         return row
 
 
@@ -141,19 +145,23 @@ class Subgraph:
     index.  ``neighbors(v)`` reads member ``v``'s CSR row of the topology's
     edges, masked by it, on each call, in ascending id order, and gives
     ``()`` for any other id.  The walks read the same rows, from the same
-    reader, as bit sets over the members' ranks, their one cache: built
-    from the edge arrays and the mask when the first walk runs, one row at
-    a time as the walks reach members, and holding no reference back to
-    the subgraph.  A query that ends at the prune builds none of it.
+    reader, as rank lists and bit sets over the members' ranks, their one
+    cache: built from the edge arrays and the mask when the first walk
+    runs, one row at a time as the walks reach members, and holding no
+    reference back to the subgraph.  A query that ends at the prune builds
+    none of it.
     """
 
     def __init__(self, topology: Topology, allowed: frozenset[int]):
         self.topology = topology
         self.allowed = allowed
-        if allowed and not (0 <= min(allowed) and max(allowed) < topology.n):
-            raise ValueError(f"allowed nodes must be in 0..{topology.n - 1}")
         self._inside = np.zeros(topology.n, dtype=bool)
-        self._inside[list(allowed)] = True
+        if allowed:
+            # no dtype cast: a float id stays a float and fails to index
+            ids = np.array(list(allowed))
+            if not (0 <= ids.min() and ids.max() < topology.n):
+                raise ValueError(f"allowed nodes must be in 0..{topology.n - 1}")
+            self._inside[ids] = True
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         if v not in self.allowed:
@@ -195,41 +203,40 @@ def _randbelow(getrandbits: Callable[[int], int], n: int) -> int:
 
 def _walk(rows: _Rows, prefix: PathNodes, destination: int,
           getrandbits: Callable[[int], int]) -> PathNodes | None:
-    # Extend ``prefix`` by one uniform random walk over unvisited allowed
-    # neighbors to ``destination``; the whole path, or None on a dead end.
-    # Every path move is this walk: a scout extends the source alone, a bee
-    # move and a GA mutation a kept prefix of the path they change.  The hot
-    # loop of both searches runs on bit sets over member ranks: the unvisited
-    # neighbors are ``row & ~visited``, and the pick is _randbelow inlined
-    # over their count, then the r-th lowest set bit.  Ranks keep id order,
-    # as rows do, so that bit is the neighbor randrange(len(choices)) would
-    # pick from the unvisited ones listed in neighbor order.
-    if prefix[-1] == destination:
-        return tuple(prefix)
-    members, rank, outside = rows.members, rows.rank, rows.outside
+    # Extend ``prefix``, which must not hold ``destination``, by one uniform
+    # random walk over unvisited allowed neighbors to ``destination``; the
+    # whole path, or None on a dead end.  Every path move is this walk: a
+    # scout extends the source alone, a bee move and a GA mutation a kept
+    # prefix of the path they change.  The hot loop of both searches runs on
+    # member ranks: ``visited`` is a bit set over them, ``seen`` the row's
+    # visited neighbors, and the pick is _randbelow inlined over the count
+    # of the unvisited ones, then ``ranks[j]`` for the least j with exactly
+    # r unvisited ranks before it.  From j = r, each pass sets j to r plus
+    # the visited ranks up to ranks[j]; j never decreases and never passes
+    # that least j, so the loop runs once per visited neighbor that comes
+    # before the pick, at most.  Ranks keep id order, as rows do, so
+    # ranks[j] is the neighbor randrange(len(choices)) would pick from the
+    # unvisited ones listed in neighbor order.
+    members, rank, outside, upto = rows.members, rows.rank, rows.outside, rows.upto
     visited = 0
     for v in prefix:
         visited |= 1 << rank.get(v, outside)
     cur, target = rank.get(prefix[-1], outside), rank.get(destination, -1)
     path = [*prefix]
     while True:
-        avail = rows[cur] & ~visited
-        if not avail:
+        bits, ranks, degree = rows[cur]
+        seen = bits & visited
+        n = degree - seen.bit_count()
+        if not n:
             return None
-        n = avail.bit_count()
         k = n.bit_length()
         r = getrandbits(k)
         while r >= n:
             r = getrandbits(k)
-        # strip set bits from whichever end of ``avail`` is nearer the pick
-        if r + r < n:
-            for _ in range(r):
-                avail &= avail - 1
-            cur = (avail & -avail).bit_length() - 1
-        else:
-            for _ in range(n - 1 - r):
-                avail ^= 1 << (avail.bit_length() - 1)
-            cur = avail.bit_length() - 1
+        j = r
+        while (i := r + (seen & upto[ranks[j]]).bit_count()) != j:
+            j = i
+        cur = ranks[j]
         path.append(members[cur])
         if cur == target:
             return tuple(path)

@@ -1,6 +1,6 @@
 """Micro-benchmarks of the search hot path and of both searches on one fixed
 n=256 trial, of generating and of grading one fixed n=1024 topology, and of
-one query on it that ends at the prune.
+two queries on it: one that ends at the prune and one routed GA search.
 
 The timings are informational (no thresholds); compare them across commits
 with ``pytest tests/test_microbench.py --benchmark-autosave`` and
@@ -154,3 +154,26 @@ def test_bench_prune_unroutable(benchmark, topology_1024):
 
     result = benchmark.pedantic(query, rounds=20, iterations=1)
     assert not result.found
+
+
+def test_bench_ga_search_1024(benchmark, topology_1024):
+    # One routed default-GA query of the shape that dominates route-refresh's
+    # tail: a pruned subgraph of 150-300 members (296 here) on n=1024.  A
+    # round is the prune and the search.
+    topology = topology_1024
+    args, _ = _grading_inputs(topology)
+    kb = build_knowledge_base(*args)
+    source, destination = 0, 110
+
+    def query():
+        feasible = select_feasible(topology, kb, CONFIG.selection_mode)
+        subgraph = Subgraph.from_topology(
+            topology, quadrant_candidates(topology, source, destination) & feasible, source)
+        result = ga_search(subgraph, source, destination, CONFIG.ga_config(), kb,
+                           stream_py_rng(SEED, STREAM_GA), bw_threshold=CONFIG.bw_threshold_mbps)
+        return subgraph, result
+
+    subgraph, result = benchmark.pedantic(query, rounds=3, iterations=1)
+    assert 150 <= len(subgraph.allowed) <= 300
+    assert result.found
+    assert path_is_valid(result.best_path, subgraph, source, destination)

@@ -313,17 +313,21 @@ def test_walks_reject_degenerate_input():
     assert "_rows" not in vars(sub)
 
 
-@pytest.mark.parametrize("m", [65, 129, 257])
-def test_walks_draw_as_randrange_on_complete_subgraphs(m):
-    # Rows of up to m - 1 neighbors, so a step's candidate count crosses
-    # every power of two below m and the bit sets run past 64 bits.  The
-    # topology is complete on m + 1 nodes and node m is not a member: a walk
-    # towards it visits every member before its dead end, drawing once at
-    # each candidate count from m - 1 down to 1.
+def _complete_subgraph(m):
+    # members 0..m-1 of a topology complete on m + 1 nodes; node m is no member
     n = m + 1
     topo = _topology([((i + 0.5) / n, 0.5) for i in range(n)],
                      [(a, b) for a in range(n) for b in range(a + 1, n)])
-    sub = Subgraph(topo, frozenset(range(m)))
+    return Subgraph(topo, frozenset(range(m)))
+
+
+@pytest.mark.parametrize("m", [65, 129, 257])
+def test_walks_draw_as_randrange_on_complete_subgraphs(m):
+    # Rows of up to m - 1 neighbors, so a step's candidate count crosses
+    # every power of two below m and the bit sets run past 64 bits.  Node m
+    # is not a member: a walk towards it visits every member before its dead
+    # end, drawing once at each candidate count from m - 1 down to 1.
+    sub = _complete_subgraph(m)
     for seed in range(3):
         rng, oracle = random.Random(seed), random.Random(seed)
         assert neighbor_path((0, m), sub, rng) == neighbor_path_by_randrange((0, m), sub, oracle)
@@ -337,6 +341,54 @@ def test_walks_draw_as_randrange_on_complete_subgraphs(m):
             expected = neighbor_path_by_randrange(expected, sub, oracle)
             assert path == expected
             assert rng.getstate() == oracle.getstate()
+
+
+@pytest.mark.parametrize("m", [129, 257])
+def test_walk_picks_past_many_visited_neighbors(m):
+    # A shuffled prefix covers most of every member's m - 1 neighbors, so the
+    # few unvisited ones sit among long runs of visited ones and a step
+    # re-counts the visited ranks before its pick many times.  Extending a
+    # prefix that leaves 2 to 17 members unvisited, and perturbing a path
+    # through every member, must give the oracle's paths and draws.
+    sub = _complete_subgraph(m)
+    for seed in range(40):
+        order = tuple(random.Random(seed).sample(range(m), m))
+        prefix, destination = order[:m - 2 - seed % 16], order[-1]
+        rng, oracle = random.Random(seed), random.Random(seed)
+        assert (optimizers._walk(sub._rows, prefix, destination, rng.getrandbits)
+                == extend_by_randrange(sub, prefix, destination, oracle))
+        assert rng.getstate() == oracle.getstate()
+        assert neighbor_path(order, sub, rng) == neighbor_path_by_randrange(order, sub, oracle)
+        assert rng.getstate() == oracle.getstate()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sparse_subgraphs(), st.sampled_from([0.0, 4.5]), st.integers(0, 2 ** 32 - 1),
+       st.data())
+def test_every_walk_starts_short_of_its_destination(case, threshold, seed, data):
+    # Scouts, GA's mutations (at rate 1.0, so every child mutates) and
+    # repairs, and the bees' moves and scouts (abc_limit=1) all hand the walk
+    # a non-empty prefix that does not hold the destination.
+    topo, kb, sub, _ = case
+    members = sorted(sub.allowed)
+    if len(members) < 2:
+        return
+    source, destination = data.draw(st.lists(st.sampled_from(members), min_size=2,
+                                             max_size=2, unique=True))
+    walk, calls = optimizers._walk, []
+
+    def recording_walk(rows, prefix, destination, getrandbits):
+        calls.append((prefix, destination))
+        return walk(rows, prefix, destination, getrandbits)
+
+    with mock.patch.object(optimizers, "_walk", recording_walk):
+        ga_search(sub, source, destination,
+                  GaConfig(population_size=4, generations=3, mutation_rate=1.0), kb,
+                  random.Random(seed), bw_threshold=threshold)
+        abc_search(sub, source, destination, AbcConfig(colony_size=3, max_cycles=2, abc_limit=1),
+                   kb, random.Random(seed), bw_threshold=threshold)
+    assert calls
+    assert all(prefix and end not in prefix for prefix, end in calls)
 
 
 @settings(max_examples=80, deadline=None)
@@ -395,9 +447,10 @@ def test_subgraph_is_link_adjacency_restricted_to_allowed(case):
 @given(_topologies_and_allowed(), st.data())
 def test_subgraph_rows_built_on_first_use_match_the_oracle(case, data):
     # The walks' rows are built as they are first read, in any order and some
-    # of them twice, and each decodes to the oracle's row; ``neighbors`` of a
-    # non-member, a negative id or one past the last node is empty and must
-    # not wrap around to another node's row.
+    # of them twice.  Each row's bit set and its rank list each decode to the
+    # oracle's row, the two hold the same ranks, and its degree is the rank
+    # list's length; ``neighbors`` of a non-member, a negative id or one past
+    # the last node is empty and must not wrap around to another node's row.
     topo, allowed = case
     adj = adjacency(topo)
     expected = {v: tuple(sorted(adj[v] & allowed)) if v in allowed else ()
@@ -407,9 +460,13 @@ def test_subgraph_rows_built_on_first_use_match_the_oracle(case, data):
     members = sorted(allowed)
     reads = data.draw(st.lists(st.integers(0, len(members)), max_size=3 * len(members) + 3))
     for i in reads:
-        row = sub._rows[i]
-        decoded = tuple(members[j] for j in range(row.bit_length()) if row >> j & 1)
-        assert decoded == (expected[members[i]] if i < len(members) else ())
+        bits, ranks, degree = sub._rows[i]
+        bit_ranks = [j for j in range(bits.bit_length()) if bits >> j & 1]
+        assert list(ranks) == bit_ranks
+        assert degree == len(ranks)
+        row = expected[members[i]] if i < len(members) else ()
+        assert tuple(members[j] for j in bit_ranks) == row
+        assert tuple(members[j] for j in ranks) == row
     for v in data.draw(st.lists(st.sampled_from(sorted(expected)), max_size=topo.n + 6)):
         assert sub.neighbors(v) == expected[v]
     assert sub.neighbors(-1) == sub.neighbors(topo.n + 1) == ()
@@ -417,9 +474,14 @@ def test_subgraph_rows_built_on_first_use_match_the_oracle(case, data):
 
 def test_subgraph_rejects_unknown_nodes():
     topo = _line_topology()
-    for allowed in ({0, 3}, {-1, 1}, {0, 1, 2, 3}):
+    for allowed in ({0, 3}, {-1, 1}, {0, 1, 2, 3}, {2 ** 70}):
         with pytest.raises(ValueError, match="allowed nodes must be in"):
             Subgraph(topo, frozenset(allowed))
+    # a float id is never cast to a node: 1.5 does not become 1
+    for allowed in ({0, 1.5}, {2.0}):
+        with pytest.raises(IndexError):
+            Subgraph(topo, frozenset(allowed))
+    assert Subgraph(topo, frozenset()).neighbors(0) == ()
 
 
 def test_walked_subgraph_is_freed_by_reference_counting():
