@@ -268,11 +268,21 @@ def neighbor_path(path: PathNodes, subgraph: Subgraph, rng: random.Random) -> Pa
     The cut point is any node except the destination; the regrown suffix
     avoids the kept prefix.  If none of ``REGROW_RETRIES`` regrowths succeeds
     the original path is returned unchanged.  A path of fewer than two
-    nodes has no cut point and is a ValueError.
+    nodes has no cut point, and one that repeats a node could be cut to a
+    prefix holding its destination; both are a ValueError raised before any
+    draw.
     """
     if len(path) < 2:
         raise ValueError(f"path {path} has fewer than 2 nodes")
-    rows, getrandbits = subgraph._rows, rng.getrandbits
+    if len(set(path)) != len(path):
+        raise ValueError(f"path {path} repeats a node")
+    return _perturb(path, subgraph._rows, rng.getrandbits)
+
+
+def _perturb(path: PathNodes, rows: _Rows, getrandbits: Callable[[int], int]) -> PathNodes:
+    # neighbor_path past its checks.  The bees call it directly: their food
+    # sources are walks, simple paths of two or more nodes, and the check for
+    # a repeated node would cost each bee move a set over its path.
     for _ in range(REGROW_RETRIES):
         cut = _randbelow(getrandbits, len(path) - 1)
         regrown = _walk(rows, path[:cut + 1], path[-1], getrandbits)
@@ -303,8 +313,9 @@ def path_fitness(path: PathNodes, topology: Topology, kb: KnowledgeBase,
     return Fitness(bottleneck)
 
 
-def roulette_select(weights: list[float] | tuple[float, ...], rng: random.Random) -> int:
-    """Fitness-proportional index selection; uniform when all weights are zero."""
+def _wheel(weights: list[float] | tuple[float, ...]) -> list[float]:
+    # The roulette wheel over ``weights``: their left-to-right partial sums,
+    # after checking that there is a weight and none is negative.
     if len(weights) == 0:
         raise ValueError("weights must not be empty")
     # the test w < 0 on each weight, run in C; NaN and -0.0 are not negative
@@ -312,33 +323,56 @@ def roulette_select(weights: list[float] | tuple[float, ...], rng: random.Random
         raise ValueError("weights must be nonnegative")
     # the total is the last left-to-right partial sum, so the pick below can
     # reach it; sum() compensates on Python 3.12+ and could differ
-    partial = list(itertools.accumulate(weights))
-    total = partial[-1]
+    return list(itertools.accumulate(weights))
+
+
+def _spin(wheel: list[float], rng: random.Random) -> int:
+    # One fitness-proportional pick from a wheel built by _wheel; uniform
+    # when every weight is zero.
+    total = wheel[-1]
     if total <= 0.0:
-        return rng.randrange(len(weights))
+        return rng.randrange(len(wheel))
     r = rng.random() * total
-    return min(bisect.bisect_right(partial, r), len(weights) - 1)
+    return min(bisect.bisect_right(wheel, r), len(wheel) - 1)
+
+
+def roulette_select(weights: list[float] | tuple[float, ...], rng: random.Random) -> int:
+    """Fitness-proportional index selection; uniform when all weights are zero."""
+    return _spin(_wheel(weights), rng)
 
 
 def _excise_loops(path: PathNodes) -> PathNodes:
-    # Remove any cycle between duplicate occurrences of a node.
+    # Remove any cycle between duplicate occurrences of a node, left to
+    # right, in linear time: ``at`` maps each kept node to its position in
+    # ``out``.  A simple path comes back as it is.
     out: list[int] = []
+    at: dict[int, int] = {}
     for node in path:
-        if node in out:
-            out = out[:out.index(node) + 1]
-        else:
+        i = at.get(node)
+        if i is None:
+            at[node] = len(out)
             out.append(node)
-    return tuple(out)
+        else:
+            for dropped in out[i + 1:]:
+                del at[dropped]
+            del out[i + 1:]
+    return path if len(out) == len(path) else tuple(out)
 
 
 def modified_crossover(parent_a: PathNodes, parent_b: PathNodes,
                        rng: random.Random) -> tuple[PathNodes, PathNodes]:
     """Exchange suffixes at a shared intermediate node; repair loops by excision.
 
-    Parents without a shared intermediate node are returned unchanged.
+    Parents without a shared intermediate node are returned unchanged, and
+    so are equal simple parents: every node is shared and any pivot gives
+    the parents back, so only the pivot is drawn.
     """
     if parent_a[0] != parent_b[0] or parent_a[-1] != parent_b[-1]:
         raise ValueError("parents must share source and destination")
+    if parent_a == parent_b and len(set(parent_a)) == len(parent_a):
+        if len(parent_a) > 2:
+            rng.randrange(len(parent_a) - 2)
+        return parent_a, parent_b
     shared = sorted(set(parent_a[1:-1]) & set(parent_b[1:-1]))
     if not shared:
         return parent_a, parent_b
@@ -354,7 +388,8 @@ class _Search:
     """What ABC and GA share: the endpoints, scouting, evaluating a candidate,
     reporting it to the observer, and the best candidate ever seen with its
     per-cycle trace, which is nondecreasing.  A candidate's rank is one
-    float: its bottleneck, or ``REJECTED``."""
+    float: its bottleneck, or ``REJECTED``.  ``evaluate`` is the one place a
+    candidate gets its rank, once per candidate."""
 
     def __init__(self, subgraph: Subgraph, source: int, destination: int,
                  kb: KnowledgeBase, rng: random.Random, bw_threshold: float,
@@ -370,7 +405,13 @@ class _Search:
     def scout(self) -> PathNodes | None:
         return random_path(self.subgraph, self.source, self.destination, self.rng)
 
-    def evaluate(self, path: PathNodes) -> float:
+    def evaluate(self, path: PathNodes, *parents: tuple[PathNodes, float]) -> float:
+        """The rank of ``path``.  A rank depends on the path alone, so a
+        candidate equal to one of its ``(parent, rank)`` pairs takes that
+        rank and is not scored again."""
+        for parent, rank in parents:
+            if path == parent:
+                return rank
         fitness = path_fitness(path, self.subgraph.topology, self.kb, self.bw_threshold)
         return REJECTED if fitness is None else fitness.bottleneck_bw
 
@@ -381,8 +422,8 @@ class _Search:
         if value > self.best:
             self.best_path, self.best = path, value
 
-    def step(self, kind: str, path: PathNodes) -> float:
-        value = self.evaluate(path)
+    def step(self, kind: str, path: PathNodes, *parents: tuple[PathNodes, float]) -> float:
+        value = self.evaluate(path, *parents)
         self.report(kind, path, value)
         return value
 
@@ -424,10 +465,13 @@ def abc_search(subgraph: Subgraph, source: int, destination: int,
     trials are abandoned to scouts.  The best source ever seen is remembered
     across cycles.
 
-    Onlooker weights are built once per onlooker phase and updated in place
-    when an onlooker's candidate is accepted, so every onlooker selects from
-    the current nectar of every source, exactly as if the weights were
-    rebuilt before each selection.
+    The onlookers' roulette wheel (the partial sums of the sources' nectar,
+    floored at zero) is built once per onlooker phase and rebuilt only when
+    an onlooker's candidate is accepted, the one event that changes a
+    source's nectar, so every onlooker spins a wheel of the current nectar of
+    every source, exactly as if it were rebuilt before each selection.  A
+    candidate the perturbation returned unchanged keeps its source's nectar
+    without being scored again.
 
     Scouts almost never run at the default ``abc_limit`` (5x the colony
     size, 500 trials): a source gets about two trials a cycle, one employed
@@ -441,12 +485,14 @@ def abc_search(subgraph: Subgraph, source: int, destination: int,
     sources = [FoodSource(path, value) for path, value in search.populate(colony)]
     if not sources:
         return search.result()
+    # bound only now, so a query that ends at the prune builds no rows
+    rows, getrandbits = subgraph._rows, rng.getrandbits
 
     def improve(src: FoodSource, kind: str) -> bool:
         # The bees' greedy move: perturb the source and keep the candidate if
         # it ranks higher, else count a trial.  True when it was kept.
-        candidate = neighbor_path(src.path, subgraph, rng)
-        value = search.step(kind, candidate)
+        candidate = _perturb(src.path, rows, getrandbits)
+        value = search.step(kind, candidate, (src.path, src.value))
         if value > src.value:
             src.path, src.value, src.trials = candidate, value, 0
             return True
@@ -459,12 +505,11 @@ def abc_search(subgraph: Subgraph, source: int, destination: int,
             improve(src, "employed")
 
         # Onlooker phase: fitness-proportional reinforcement.  Only an
-        # accepted candidate changes a weight, so weights stay current.
-        weights = [max(src.value, 0.0) for src in sources]
+        # accepted candidate changes a weight, so the wheel stays current.
+        wheel = _wheel([max(src.value, 0.0) for src in sources])
         for _ in range(colony):
-            idx = roulette_select(weights, rng)
-            if improve(sources[idx], "onlooker"):
-                weights[idx] = max(sources[idx].value, 0.0)
+            if improve(sources[_spin(wheel, rng)], "onlooker"):
+                wheel = _wheel([max(src.value, 0.0) for src in sources])
 
         # Scout phase: abandon exhausted sources.
         for src in sources:
@@ -483,7 +528,13 @@ def ga_search(subgraph: Subgraph, source: int, destination: int,
               cfg: GaConfig, kb: KnowledgeBase, rng: random.Random, *,
               bw_threshold: float = 0.0,
               observer: Observer | None = None) -> RouteResult:
-    """Genetic search: roulette selection, shared-node crossover, suffix-regrow mutation."""
+    """Genetic search: roulette selection, shared-node crossover, suffix-regrow mutation.
+
+    The selection wheel is built once per generation, whose weights are
+    fixed, and a child equal to a parent takes that parent's rank without
+    being scored again: the population collapses onto a few paths, so most
+    children are copies of a parent.
+    """
     search = _Search(subgraph, source, destination, kb, rng, bw_threshold, observer)
     # Each member is evaluated once, when it joins the population.
     population = search.populate(cfg.population_size)
@@ -504,16 +555,16 @@ def ga_search(subgraph: Subgraph, source: int, destination: int,
         return path
 
     for _ in range(cfg.generations):
-        weights = [max(value, 0.0) for _, value in population]
+        wheel = _wheel([max(value, 0.0) for _, value in population])
         offspring: list[tuple[PathNodes, float]] = []
         while len(offspring) < len(population):
-            pa, va = population[roulette_select(weights, rng)]
-            pb, _ = population[roulette_select(weights, rng)]
+            pa, va = population[_spin(wheel, rng)]
+            pb, vb = population[_spin(wheel, rng)]
             for child in modified_crossover(pa, pb, rng):
                 # Crossover and mutation keep every child a valid path; one
                 # below the bandwidth threshold is replaced by a scout path.
                 child = mutate(child)
-                value = search.evaluate(child)
+                value = search.evaluate(child, (pa, va), (pb, vb))
                 if value == REJECTED:
                     # Replacement paths should themselves be feasible, else
                     # they get zero selection weight and never breed.  With

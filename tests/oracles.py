@@ -9,18 +9,30 @@ walk oracles draw with ``randrange`` instead of ``getrandbits``, and the
 eager generator builds its ``Link`` list from one dense distance pass.
 The grading oracle takes only the record types from ``gradednet.grading``:
 it classifies each node with its own nested checks and makes its own
-Poisson and multinomial arrival draws.
+Poisson and multinomial arrival draws.  The search oracles keep the
+searches' plainest bookkeeping, on the randrange walks: a roulette built
+for every pick, every candidate scored by ``path_fitness``, the
+set-intersection crossover and loop excision by list scans.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 
 from gradednet.grading import GradeRecord, KnowledgeBase
-from gradednet.optimizers import REGROW_RETRIES, WALK_RESTARTS
+from gradednet.optimizers import (
+    REGROW_RETRIES,
+    REJECTED,
+    REPAIR_ATTEMPTS,
+    WALK_RESTARTS,
+    Fitness,
+    RouteResult,
+    path_fitness,
+    roulette_select,
+)
 from gradednet.topology import (
     DEFAULT_CAPACITY_MBPS,
     DEFAULT_LIFETIME_SCALE,
@@ -272,6 +284,164 @@ def roulette_by_scan(weights, rng) -> int:
         if r < acc:
             return i
     return len(weights) - 1
+
+
+def excise_loops_by_scan(path):
+    """Loop excision by list scans: at each repeated node, cut the kept list
+    back to that node's first occurrence."""
+    out: list[int] = []
+    for node in path:
+        if node in out:
+            out = out[:out.index(node) + 1]
+        else:
+            out.append(node)
+    return tuple(out)
+
+
+def crossover_by_intersection(parent_a, parent_b, rng):
+    """Shared-node crossover: a pivot drawn from the sorted intersection of the
+    parents' interiors, suffixes exchanged there, loops excised by scans."""
+    if parent_a[0] != parent_b[0] or parent_a[-1] != parent_b[-1]:
+        raise ValueError("parents must share source and destination")
+    shared = sorted(set(parent_a[1:-1]) & set(parent_b[1:-1]))
+    if not shared:
+        return parent_a, parent_b
+    pivot = shared[rng.randrange(len(shared))]
+    ia, ib = parent_a.index(pivot), parent_b.index(pivot)
+    return (excise_loops_by_scan(parent_a[:ia + 1] + parent_b[ib + 1:]),
+            excise_loops_by_scan(parent_b[:ib + 1] + parent_a[ia + 1:]))
+
+
+class _Rescoring:
+    # A search's record that reuses nothing: every candidate is scored by
+    # path_fitness, reported, and kept if it is the best yet.
+    def __init__(self, subgraph, source, destination, kb, rng, bw_threshold, observer):
+        self.subgraph, self.source, self.destination = subgraph, source, destination
+        self.kb, self.rng, self.bw_threshold, self.observer = kb, rng, bw_threshold, observer
+        self.best_path, self.best, self.trace = None, REJECTED, []
+
+    def scout(self):
+        return random_path_by_randrange(self.subgraph, self.source, self.destination, self.rng)
+
+    def score(self, path):
+        fitness = path_fitness(path, self.subgraph.topology, self.kb, self.bw_threshold)
+        return REJECTED if fitness is None else fitness.bottleneck_bw
+
+    def step(self, kind, path):
+        value = self.score(path)
+        self.report(kind, path, value)
+        return value
+
+    def report(self, kind, path, value):
+        if self.observer is not None:
+            self.observer(kind, path)
+        if value > self.best:
+            self.best_path, self.best = path, value
+
+    def populate(self, size):
+        members = []
+        for _ in range(size):
+            path = self.scout()
+            if path is not None:
+                members.append([path, self.step("init", path), 0])
+        if members:
+            self.end_cycle()
+        return members
+
+    def end_cycle(self):
+        self.trace.append(max(self.best, 0.0))
+
+    def result(self):
+        trace = tuple(self.trace) if self.trace else (0.0,)
+        stagnation = next((i for i in range(5, len(trace)) if trace[i] == trace[i - 5]), None)
+        path = self.best_path
+        return RouteResult(path, Fitness(max(self.best, 0.0)), len(path) - 1 if path else 0,
+                           trace.index(trace[-1]), trace, stagnation)
+
+
+def abc_search_by_rescoring(subgraph, source, destination, cfg, kb, rng, *,
+                            bw_threshold=0.0, observer=None, tally=None):
+    """``abc_search`` with a roulette built for every onlooker's pick and every
+    candidate scored.  ``tally`` counts accepted onlookers and scouts."""
+    tally = Counter() if tally is None else tally
+    search = _Rescoring(subgraph, source, destination, kb, rng, bw_threshold, observer)
+    limit = cfg.abc_limit if cfg.abc_limit is not None else cfg.colony_size * 5
+    sources = search.populate(cfg.colony_size)  # [path, value, trials]
+    if not sources:
+        return search.result()
+
+    def improve(src, kind):
+        candidate = neighbor_path_by_randrange(src[0], subgraph, rng)
+        value = search.step(kind, candidate)
+        if value > src[1]:
+            src[:] = [candidate, value, 0]
+            return True
+        src[2] += 1
+        return False
+
+    for _ in range(cfg.max_cycles):
+        for src in sources:
+            improve(src, "employed")
+        for _ in range(cfg.colony_size):
+            pick = roulette_select([max(value, 0.0) for _, value, _ in sources], rng)
+            if improve(sources[pick], "onlooker"):
+                tally["onlooker accepted"] += 1
+        for src in sources:
+            if src[2] >= limit:
+                fresh = search.scout()
+                if fresh is not None:
+                    src[0], src[1] = fresh, search.step("scout", fresh)
+                    tally["scout"] += 1
+                src[2] = 0
+        search.end_cycle()
+    return search.result()
+
+
+def ga_search_by_rescoring(subgraph, source, destination, cfg, kb, rng, *,
+                           bw_threshold=0.0, observer=None, tally=None):
+    """``ga_search`` with a roulette built for every pick, every child scored
+    and ``crossover_by_intersection``.  ``tally`` counts mutations and
+    repairs."""
+    tally = Counter() if tally is None else tally
+    search = _Rescoring(subgraph, source, destination, kb, rng, bw_threshold, observer)
+    population = [(path, value) for path, value, _ in search.populate(cfg.population_size)]
+    if not population:
+        return search.result()
+
+    def mutate(path):
+        if cfg.mutation_rate <= 0.0:
+            return path
+        for i in range(1, len(path) - 1):
+            if rng.random() < cfg.mutation_rate:
+                tally["mutation"] += 1
+                return extend_by_randrange(subgraph, path[:i], path[-1], rng) or path
+        return path
+
+    for _ in range(cfg.generations):
+        offspring = []
+        while len(offspring) < len(population):
+            pa, va = population[roulette_select([max(v, 0.0) for _, v in population], rng)]
+            pb, _ = population[roulette_select([max(v, 0.0) for _, v in population], rng)]
+            for child in crossover_by_intersection(pa, pb, rng):
+                child = mutate(child)
+                value = search.score(child)
+                if value == REJECTED:
+                    tally["repair"] += 1
+                    child, value = pa, va
+                    for _ in range(REPAIR_ATTEMPTS):
+                        fresh = search.scout()
+                        if fresh is None:
+                            break
+                        child, value = fresh, search.score(fresh)
+                        if value != REJECTED:
+                            break
+                search.report("offspring", child, value)
+                offspring.append((child, value))
+                if len(offspring) >= len(population):
+                    break
+        population = offspring
+        search.end_cycle()
+    return search.result()
 
 
 def grade_nodes_one_by_one(topology, link_states, config, rng):

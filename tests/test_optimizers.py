@@ -3,6 +3,7 @@ import hashlib
 import math
 import random
 import weakref
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -29,6 +30,7 @@ from gradednet.optimizers import (
     Fitness,
     GaConfig,
     Subgraph,
+    _excise_loops,
     _randbelow,
     abc_search,
     ga_search,
@@ -42,10 +44,14 @@ from gradednet.optimizers import (
 from gradednet.topology import Link, Node, QosInputs, Topology, generate_topology
 from gradednet.traffic import sample_link_states
 from oracles import (
+    abc_search_by_rescoring,
     adjacency,
     bfs_hops,
+    crossover_by_intersection,
     enumerate_best_bottleneck,
+    excise_loops_by_scan,
     extend_by_randrange,
+    ga_search_by_rescoring,
     neighbor_path_by_randrange,
     random_path_by_randrange,
     roulette_by_scan,
@@ -313,6 +319,21 @@ def test_walks_reject_degenerate_input():
     assert "_rows" not in vars(sub)
 
 
+def test_neighbor_path_rejects_a_path_that_repeats_a_node():
+    # A cut of such a path can keep its destination, and no regrowth ends at
+    # a node it has visited: the error comes before any draw or row.
+    topo, kb, sub = _random_setup(4, n=16, density=0.35)
+    path = random_path(Subgraph(topo, sub.allowed), 0, 15, random.Random(0))
+    assert path is not None and len(path) > 2
+    rng = random.Random(1)
+    state = rng.getstate()
+    for repeated in (path + (0,), (15,) + path, path[:2] + path[1:], (0, 1, 0)):
+        with pytest.raises(ValueError, match="repeats a node"):
+            neighbor_path(repeated, sub, rng)
+    assert rng.getstate() == state
+    assert "_rows" not in vars(sub)
+
+
 def _complete_subgraph(m):
     # members 0..m-1 of a topology complete on m + 1 nodes; node m is no member
     n = m + 1
@@ -573,6 +594,39 @@ def test_crossover_identical_parents_closure():
     assert a == parent and b == parent
 
 
+@given(st.lists(st.integers(0, 6), max_size=30))
+def test_excise_loops_matches_the_scan(nodes):
+    # short node ranges, so most sequences repeat nodes, some many times
+    path = tuple(nodes)
+    excised = _excise_loops(path)
+    assert excised == excise_loops_by_scan(path)
+    if len(set(path)) == len(path):
+        assert excised is path
+
+
+@pytest.mark.parametrize("parent", [(0, 9), (0, 4, 9), (0, *range(10, 60), 9)])
+def test_crossover_on_equal_parents_draws_as_the_intersection(parent):
+    # Two, three and many nodes: the same pivot draw (none for two nodes),
+    # and the parents themselves come back.
+    for seed in range(5):
+        rng, oracle = random.Random(seed), random.Random(seed)
+        copy = tuple(list(parent))
+        children = modified_crossover(parent, copy, rng)
+        assert children == crossover_by_intersection(parent, copy, oracle)
+        assert children[0] is parent and children[1] is copy
+        assert rng.getstate() == oracle.getstate()
+
+
+def test_crossover_on_equal_looped_parents_draws_as_the_intersection():
+    # equal parents that repeat a node are crossed as any other pair
+    for parent in ((0, 3, 4, 3, 9), (0, 4, 0, 9)):
+        for seed in range(5):
+            rng, oracle = random.Random(seed), random.Random(seed)
+            assert (modified_crossover(parent, parent, rng)
+                    == crossover_by_intersection(parent, parent, oracle))
+            assert rng.getstate() == oracle.getstate()
+
+
 def test_crossover_mismatched_endpoints():
     with pytest.raises(ValueError):
         modified_crossover((0, 1, 2), (0, 1, 3), random.Random(0))
@@ -800,6 +854,80 @@ def test_result_is_best_reported_candidate(case):
             # the unconstrained optimum over every simple path bounds any result
             assert result.best_fitness.bottleneck_bw <= enumerate_best_bottleneck(
                 sub, 0, topo.n - 1, kb)
+
+
+def _search_and_oracle(sub, source, destination, kb, cfg, seed, threshold, tally):
+    # The search and its rescoring oracle on the same inputs: their results,
+    # observer streams and generator states.
+    optimizer, oracle = ((abc_search, abc_search_by_rescoring) if isinstance(cfg, AbcConfig)
+                         else (ga_search, ga_search_by_rescoring))
+    runs = []
+    for run, extra in ((optimizer, {}), (oracle, {"tally": tally})):
+        rng, events = random.Random(seed), []
+        result = run(sub, source, destination, cfg, kb, rng, bw_threshold=threshold,
+                     observer=lambda kind, path: events.append((kind, path)), **extra)
+        runs.append((result, events, rng.getstate()))
+    return runs
+
+
+_BOOKKEEPING_CONFIGS = st.sampled_from([
+    AbcConfig(colony_size=4, max_cycles=3, abc_limit=1),
+    AbcConfig(colony_size=6, max_cycles=6),
+    GaConfig(population_size=4, generations=3, mutation_rate=1.0),
+    GaConfig(population_size=6, generations=6, mutation_rate=0.3),
+    GaConfig(population_size=5, generations=4, mutation_rate=0.0),
+])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_subgraphs(), _BOOKKEEPING_CONFIGS, st.sampled_from([0.0, 4.5, 15.0]),
+       st.integers(0, 2 ** 32 - 1), st.data())
+def test_searches_draw_as_with_rescoring(case, cfg, threshold, seed, data):
+    # One wheel per phase (rebuilt on each accepted onlooker), a parent's
+    # rank for a child equal to it, equal parents crossed without a pivot
+    # and linear loop excision change no draw, no event and no result.
+    topo, kb, sub, _ = case
+    members = sorted(sub.allowed)
+    if len(members) < 2:
+        return
+    source, destination = data.draw(st.lists(st.sampled_from(members), min_size=2,
+                                             max_size=2, unique=True))
+    searched, expected = _search_and_oracle(sub, source, destination, kb, cfg, seed,
+                                            threshold, None)
+    assert searched == expected
+
+
+def test_rescoring_cases_reach_every_branch():
+    # Fixed cases where the onlookers accept candidates, scouts replace
+    # sources (abc_limit=1), every child mutates and the threshold rejects
+    # children that repairs replace; each must still match the oracle.
+    tally = Counter()
+    for seed in range(6):
+        topo, kb, sub = _random_setup(seed, n=20, density=0.3)
+        for cfg in (AbcConfig(colony_size=6, max_cycles=4, abc_limit=1),
+                    GaConfig(population_size=6, generations=4, mutation_rate=1.0)):
+            searched, expected = _search_and_oracle(sub, 0, 19, kb, cfg, seed, 4.5, tally)
+            assert searched == expected
+    assert min(tally[key] for key in ("onlooker accepted", "scout", "mutation", "repair")) > 0
+
+
+def test_parents_values_are_reused():
+    # On a pinned n=256 trial, GA's children are mostly copies of a parent
+    # and take its rank unscored, and some bee moves return their source.
+    config, seed = RunConfig(), trial_seed(7, 256, 21)
+    trial = prepare_trial(256, seed, config)
+    score = optimizers.path_fitness
+    for algo in ("abc", "ga"):
+        calls, reported = [], []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return score(*args, **kwargs)
+
+        with mock.patch.object(optimizers, "path_fitness", counted):
+            search(trial, algo, config, seed, observer=lambda kind, path: reported.append(path))
+        assert reported
+        assert len(calls) < (len(reported) / 2 if algo == "ga" else len(reported))
 
 
 def test_config_validation():
