@@ -31,10 +31,6 @@ class SaturatedChannelError(ValueError):
     """Raised when a channel's service capacity cannot keep up with its flow rate."""
 
 
-class InfeasibleBalanceError(ValueError):
-    """Raised when the envisaged bandwidth exceeds what the neighborhood can carry."""
-
-
 class EmptyKnowledgeBaseError(RuntimeError):
     """Raised when node selection runs against an unpopulated knowledge base."""
 
@@ -217,42 +213,6 @@ def select_feasible(topology: Topology, kb: KnowledgeBase,
     raise ValueError(f"unknown selection mode {mode!r}")
 
 
-def balance_traffic(neighborhood_loads: tuple[float, ...] | list[float],
-                    envisaged: float) -> tuple[float, ...]:
-    """Minimally adjust neighborhood load fractions to meet an envisaged total.
-
-    Minimizes sum |act_j - cur_j| subject to sum act_j >= envisaged and
-    0 <= act_j <= 1.  When the current loads already meet the target they are
-    returned unchanged; otherwise the deficit is poured into components in
-    index order (any split of the deficit is L1-optimal, so index order is
-    the canonical deterministic choice).
-    """
-    cur = tuple(float(v) for v in neighborhood_loads)
-    for v in cur:
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"load fractions must be in [0, 1], got {v}")
-    if envisaged < 0:
-        raise ValueError(f"envisaged total must be nonnegative, got {envisaged}")
-    if envisaged > len(cur):
-        raise InfeasibleBalanceError(
-            f"envisaged total {envisaged} exceeds box capacity {len(cur)}")
-
-    total = sum(cur)
-    if total >= envisaged:
-        return cur
-
-    act = list(cur)
-    deficit = envisaged - total
-    for j in range(len(act)):
-        room = 1.0 - act[j]
-        add = room if room < deficit else deficit
-        act[j] += add
-        deficit -= add
-        if deficit <= 0.0:
-            break
-    return tuple(act)
-
-
 def build_knowledge_base(topology: Topology,
                          link_states: LinkState,
                          config: GradingConfig,
@@ -320,7 +280,9 @@ def build_knowledge_base(topology: Topology,
         first = edges.starts[linked]
         min_channel[linked] = np.minimum.reduceat(channels[link], first)
         available[linked] = np.minimum.reduceat(free[link], first)
-    delayed = linked & (delay > config.delay_multiplier / min_channel)
+    # A tiny channel, or a huge multiplier, overflows the threshold to inf.
+    with np.errstate(over="ignore", divide="ignore"):
+        delayed = linked & (delay > config.delay_multiplier / min_channel)
 
     priority = level1_priority(lifetimes, densities, congested, resources, delayed,
                                density_threshold=config.density_threshold,

@@ -81,7 +81,9 @@ def load_fraction(state: LinkState, capacity_mbps, *,
     if flow_rate_mbps <= 0:
         raise ValueError("flow rate must be positive")
     consumed = link_load_at(state, at_time) * flow_rate_mbps
-    return np.minimum(1.0, np.maximum(0.0, consumed / capacity_mbps))
+    # A tiny capacity overflows the fraction to inf, which the clamp reads as 1.
+    with np.errstate(over="ignore"):
+        return np.minimum(1.0, np.maximum(0.0, consumed / capacity_mbps))
 
 
 def traffic_intensity(packet_size_bits: int, load: float, available_bps: float) -> float:

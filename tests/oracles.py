@@ -2,9 +2,9 @@
 
 These deliberately avoid the code paths they verify: the ODE oracle
 integrates numerically instead of using the closed form, the path oracle
-enumerates exhaustively instead of searching, the balance oracle solves
-a small LP, the adjacency, grading and quadrant oracles walk links and
-nodes one at a time in plain Python instead of computing on arrays, the
+enumerates exhaustively instead of searching, the adjacency, grading and
+quadrant oracles walk links and nodes one at a time in plain Python
+instead of computing on arrays, the
 walk oracles draw with ``randrange`` instead of ``getrandbits``, and the
 eager generator builds its ``Link`` list from one dense distance pass.
 The grading oracle takes only the record types from ``gradednet.grading``:
@@ -154,49 +154,6 @@ def enumerate_best_bottleneck(subgraph, source: int, destination: int,
 
     dfs(source, {source}, float("inf"))
     return best
-
-
-def lp_balance_cost(cur: tuple[float, ...], envisaged: float) -> float:
-    """Optimal L1 adjustment cost via linear programming (scipy HiGHS)."""
-    from scipy.optimize import linprog
-
-    k = len(cur)
-    c = [0.0] * k + [1.0] * k
-    a_ub, b_ub = [], []
-    for j in range(k):
-        row = [0.0] * (2 * k)
-        row[j], row[k + j] = 1.0, -1.0
-        a_ub.append(row)
-        b_ub.append(cur[j])
-        row = [0.0] * (2 * k)
-        row[j], row[k + j] = -1.0, -1.0
-        a_ub.append(row)
-        b_ub.append(-cur[j])
-    a_ub.append([-1.0] * k + [0.0] * k)
-    b_ub.append(-envisaged)
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub,
-                  bounds=[(0, 1)] * k + [(0, None)] * k, method="highs")
-    if not res.success:
-        raise RuntimeError(f"LP failed for cur={cur}, E={envisaged}")
-    return float(res.fun)
-
-
-def grid_balance_cost(cur: tuple[float, ...], envisaged: float,
-                      step: float = 0.05) -> float | None:
-    """Optimal L1 cost by exhaustive enumeration of gridded adjustments.
-
-    Only practical for one or two components; None when no grid point is
-    feasible.
-    """
-    levels = np.round(np.arange(0.0, 1.0 + step / 2, step), 10)
-    k = len(cur)
-    grids = np.meshgrid(*([levels] * k), indexing="ij")
-    acts = np.stack([g.ravel() for g in grids], axis=1)
-    feasible = acts.sum(axis=1) >= envisaged - 1e-12
-    if not feasible.any():
-        return None
-    costs = np.abs(acts - np.asarray(cur)).sum(axis=1)
-    return float(costs[feasible].min())
 
 
 def _left_to_right_sum(values) -> float:

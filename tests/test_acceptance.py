@@ -5,7 +5,6 @@ report lines.  Shared expensive runs (the trial sweeps) live in module-scoped
 fixtures so criteria that examine the same data don't recompute it.
 """
 
-import itertools
 import random
 import statistics
 import time
@@ -20,7 +19,6 @@ from gradednet.grading import (
     DelayInputs,
     SaturatedChannelError,
     average_delay,
-    balance_traffic,
     build_knowledge_base,
 )
 from gradednet.optimizers import (
@@ -36,8 +34,6 @@ from gradednet.traffic import LinkState, link_load_at, sample_link_states
 from oracles import (
     bfs_hops,
     enumerate_best_bottleneck,
-    grid_balance_cost,
-    lp_balance_cost,
     rk4_load_grid,
 )
 
@@ -254,69 +250,6 @@ def test_criterion_08_quality_fractions(default_sweep_n64):
             f"ga_better={fractions[2]:.3f} over {total} compared trials")
     assert abs(sum(fractions) - 1.0) < 1e-12
     assert abc_better > equal and abc_better > ga_better
-
-
-def test_criterion_09_balance_optimality():
-    """Balance objective equals max(0, E - sum(cur)) on exhaustive grids,
-    cross-checked against LP and grid-enumeration oracles."""
-    started = time.time()
-    levels = [round(0.05 * i, 10) for i in range(21)]
-
-    checked = 0
-    # component order never affects optimality, so grids enumerate multisets;
-    # E grids coarsen as the instance count grows (0.05 / 0.05 / 0.25 / 0.5)
-    e_steps = {1: 0.05, 2: 0.05, 3: 0.25, 4: 0.5}
-    for k in (1, 2, 3, 4):
-        step = e_steps[k]
-        e_grid = [round(step * i, 10) for i in range(int(k / step) + 1)]
-        for cur in itertools.combinations_with_replacement(levels, k):
-            for envisaged in e_grid:
-                act = balance_traffic(cur, envisaged)
-                objective = sum(abs(a - c) for a, c in zip(act, cur))
-                expected = max(0.0, envisaged - sum(cur))
-                assert abs(objective - expected) < 1e-9, (cur, envisaged)
-                assert sum(act) >= min(envisaged, sum(cur)) - 1e-9
-                assert all(0.0 <= a <= 1.0 for a in act)
-                checked += 1
-
-    # independent oracle 1: exhaustive enumeration of gridded adjustments
-    rng = random.Random(99)
-    for _ in range(300):
-        k = rng.randint(1, 2)
-        cur = tuple(rng.choice(levels) for _ in range(k))
-        envisaged = round(rng.randint(0, 20 * k) * 0.05, 10)
-        act = balance_traffic(cur, envisaged)
-        objective = sum(abs(a - c) for a, c in zip(act, cur))
-        oracle = grid_balance_cost(cur, envisaged)
-        assert oracle is not None
-        assert abs(objective - oracle) < 1e-9, (cur, envisaged)
-
-    # independent oracle 2: LP on random continuous instances
-    for i in range(120):
-        k = (i % 4) + 1
-        rng_i = random.Random(5000 + i)
-        cur = tuple(rng_i.random() for _ in range(k))
-        envisaged = rng_i.uniform(0, k)
-        act = balance_traffic(cur, envisaged)
-        objective = sum(abs(a - c) for a, c in zip(act, cur))
-        assert abs(objective - lp_balance_cost(cur, envisaged)) < 1e-7, (cur, envisaged)
-
-    # permutation invariance of the objective on sampled orderings
-    for _ in range(200):
-        k = rng.randint(2, 4)
-        cur = [rng.choice(levels) for _ in range(k)]
-        envisaged = round(rng.randint(0, 20 * k) * 0.05, 10)
-        base = sum(abs(a - c) for a, c in
-                   zip(balance_traffic(tuple(cur), envisaged), cur))
-        perm = cur[:]
-        rng.shuffle(perm)
-        shuffled = sum(abs(a - c) for a, c in
-                       zip(balance_traffic(tuple(perm), envisaged), perm))
-        assert abs(base - shuffled) < 1e-9
-
-    elapsed = time.time() - started
-    _report(9, "balance optimality", True,
-            f"{checked} gridded instances + LP/grid oracles, {elapsed:.1f}s")
 
 
 def test_criterion_10_determinism(tmp_path):

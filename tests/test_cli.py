@@ -584,6 +584,30 @@ def test_overflowing_link_load_range_exits_one_and_writes_nothing(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n, seed, doc, first_link_capacity", [
+    (12, 3, {}, 5e-324),                         # the threshold overflows
+    (12, 3, {"flow_rate_mbps": 2.0}, 5e-324),    # the channel underflows to 0
+    (64, 9, {"delay_multiplier": 1e308, "flow_rate_mbps": 100.0}, None),
+])
+def test_grade_with_an_infinite_delay_threshold_is_quiet(tmp_path, capsys, n, seed, doc,
+                                                         first_link_capacity):
+    # a tiny channel, or a huge multiplier, makes the delay threshold inf;
+    # grading still succeeds, with no warning
+    _run(capsys, "generate", "--n", str(n), "--seed", str(seed), "--out", str(tmp_path / "gen"))
+    topology = tmp_path / "gen" / "topology.json"
+    if first_link_capacity is not None:
+        topo_doc = json.loads(topology.read_text())
+        topo_doc["links"][0]["capacity_mbps"] = first_link_capacity
+        topology.write_text(json.dumps(topo_doc))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    code, _, err = _run(capsys, "grade", "--topology", str(topology), "--seed", str(seed),
+                        "--config", str(cfg_path), "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert err == ""
+
+
 def test_generate_out_of_memory_exits_one_and_writes_nothing(tmp_path, capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 1.46 TiB for an array")

@@ -11,11 +11,9 @@ from gradednet.grading import (
     EmptyKnowledgeBaseError,
     GradeRecord,
     GradingConfig,
-    InfeasibleBalanceError,
     KnowledgeBase,
     SaturatedChannelError,
     average_delay,
-    balance_traffic,
     build_knowledge_base,
     grade_dump,
     level1_priority,
@@ -314,46 +312,6 @@ def test_select_empty_kb_raises():
         select_feasible(topo, KnowledgeBase(), "best-classes")
     with pytest.raises(ValueError):
         select_feasible(topo, _kb_with_priorities([1]), "bogus")
-
-
-# ---------------------------------------------------------------- balance
-
-def test_balance_already_feasible():
-    assert balance_traffic((0.5, 0.5), 0.8) == (0.5, 0.5)
-
-
-def test_balance_distributes_deficit():
-    act = balance_traffic((0.2, 0.2), 1.0)
-    assert sum(act) == pytest.approx(1.0, abs=1e-12)
-    objective = sum(abs(a - c) for a, c in zip(act, (0.2, 0.2)))
-    assert objective == pytest.approx(0.6, abs=1e-12)
-    # canonical greedy raises the first component first
-    assert act == (0.8, 0.2)
-
-
-def test_balance_infeasible():
-    with pytest.raises(InfeasibleBalanceError):
-        balance_traffic((1.0,), 1.5)
-
-
-def test_balance_validation():
-    with pytest.raises(ValueError):
-        balance_traffic((1.2,), 0.5)
-    with pytest.raises(ValueError):
-        balance_traffic((0.5,), -0.1)
-
-
-def test_balance_objective_formula():
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        k = int(rng.integers(1, 5))
-        cur = tuple(float(v) for v in rng.uniform(0, 1, k))
-        envisaged = float(rng.uniform(0, k))
-        act = balance_traffic(cur, envisaged)
-        objective = sum(abs(a - c) for a, c in zip(act, cur))
-        assert objective == pytest.approx(max(0.0, envisaged - sum(cur)), abs=1e-9)
-        assert sum(act) >= envisaged - 1e-9 or sum(cur) >= envisaged
-        assert all(0.0 <= a <= 1.0 for a in act)
 
 
 # ---------------------------------------------------------------- knowledge base
