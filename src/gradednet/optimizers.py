@@ -15,6 +15,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -299,6 +300,11 @@ def path_fitness(path: PathNodes, topology: Topology, kb: KnowledgeBase,
     ``bw_threshold`` Mbps; rejected paths do not participate in routing.
     Each hop is one lookup in the knowledge base's per-link snapshot, which
     holds exactly the topology's links; a hop missing from it is not a link.
+
+    This is the validating reference that the tests and the benchmark score
+    with: it checks that the path is simple and reads every hop.  The
+    searches rank their own candidates, which are simple by construction,
+    with ``_Search.evaluate``, which gives the same ranks.
     """
     if len(path) < 2 or len(set(path)) != len(path):
         raise ValueError(f"malformed path {path}")
@@ -389,7 +395,9 @@ class _Search:
     reporting it to the observer, and the best candidate ever seen with its
     per-cycle trace, which is nondecreasing.  A candidate's rank is one
     float: its bottleneck, or ``REJECTED``.  ``evaluate`` is the one place a
-    candidate gets its rank, once per candidate."""
+    candidate gets its rank, once per candidate; it stops reading a rejected
+    candidate at its first link below the threshold.  ``path_fitness`` is the
+    validating reference that the tests and the benchmark score with."""
 
     def __init__(self, subgraph: Subgraph, source: int, destination: int,
                  kb: KnowledgeBase, rng: random.Random, bw_threshold: float,
@@ -397,7 +405,8 @@ class _Search:
         if source == destination:
             raise ValueError("source and destination must differ")
         self.subgraph, self.source, self.destination = subgraph, source, destination
-        self.kb, self.rng, self.bw_threshold, self.observer = kb, rng, bw_threshold, observer
+        self.rng, self.bw_threshold, self.observer = rng, bw_threshold, observer
+        self._available = kb.link_available_mbps
         self.best_path: PathNodes | None = None
         self.best = REJECTED
         self.trace: list[float] = []
@@ -408,12 +417,29 @@ class _Search:
     def evaluate(self, path: PathNodes, *parents: tuple[PathNodes, float]) -> float:
         """The rank of ``path``.  A rank depends on the path alone, so a
         candidate equal to one of its ``(parent, rank)`` pairs takes that
-        rank and is not scored again."""
+        rank and is not scored again.
+
+        Otherwise the hops are read left to right and the first one below
+        the threshold rejects the path: some hop is below the threshold
+        exactly when the minimum is, so the rank is ``path_fitness``'s.
+        Every candidate is a walk, a loop-excised crossover child or a
+        parent, hence a simple path of two or more nodes, so that is not
+        checked again."""
         for parent, rank in parents:
             if path == parent:
                 return rank
-        fitness = path_fitness(path, self.subgraph.topology, self.kb, self.bw_threshold)
-        return REJECTED if fitness is None else fitness.bottleneck_bw
+        available, threshold = self._available, self.bw_threshold
+        bottleneck = math.inf
+        try:
+            for u, v in itertools.pairwise(path):
+                bw = available[(u, v) if u < v else (v, u)]
+                if bw < threshold:
+                    return REJECTED
+                if bw < bottleneck:
+                    bottleneck = bw
+        except KeyError as exc:
+            raise ValueError(f"path uses nonexistent link {exc.args[0]}") from None
+        return bottleneck
 
     def report(self, kind: str, path: PathNodes, value: float) -> None:
         """Tell the observer about a candidate and keep it if it is the best yet."""

@@ -23,7 +23,9 @@ from gradednet.bench import (
 from gradednet.config import RunConfig
 from gradednet.grading import build_knowledge_base, select_feasible
 from gradednet.optimizers import (
+    REJECTED,
     Subgraph,
+    _Search,
     abc_search,
     ga_search,
     neighbor_path,
@@ -76,6 +78,22 @@ def test_bench_path_fitness(benchmark, trial):
 
     fits = benchmark.pedantic(evaluate_all, rounds=3, iterations=1)
     assert len(fits) == len(paths)
+
+
+def test_bench_search_evaluate(benchmark, trial):
+    # the searches' own ranking of the same paths, which stops reading a
+    # rejected path at its first link below the threshold
+    topology, kb, subgraph, source, destination, start = trial
+    paths = _perturbation_chain(start, subgraph, random.Random(1))
+    search = _Search(subgraph, source, destination, kb, random.Random(0),
+                     CONFIG.bw_threshold_mbps, None)
+
+    def evaluate_all():
+        return [search.evaluate(path) for path in paths]
+
+    ranks = benchmark.pedantic(evaluate_all, rounds=3, iterations=1)
+    fits = [path_fitness(path, topology, kb, CONFIG.bw_threshold_mbps) for path in paths]
+    assert ranks == [REJECTED if fit is None else fit.bottleneck_bw for fit in fits]
 
 
 def test_bench_abc_search(benchmark, trial):

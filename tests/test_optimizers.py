@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import math
@@ -26,11 +27,13 @@ from gradednet.bench import (
 from gradednet.config import RunConfig
 from gradednet.grading import GradingConfig, KnowledgeBase, build_knowledge_base
 from gradednet.optimizers import (
+    REJECTED,
     AbcConfig,
     Fitness,
     GaConfig,
     Subgraph,
     _excise_loops,
+    _Search,
     _randbelow,
     abc_search,
     ga_search,
@@ -214,6 +217,44 @@ def test_path_fitness_matches_reference(case):
     bottleneck = min(kb.available_on(u, v) for u, v in zip(path, path[1:]))
     expected = None if bottleneck < threshold else Fitness(bottleneck)
     assert path_fitness(path, topo, kb, threshold) == expected
+    # the search core's early-exit scan gives the same rank
+    rank = _Search(sub, path[0], path[-1], kb, random.Random(0), threshold, None).evaluate(path)
+    assert rank == (REJECTED if expected is None else expected.bottleneck_bw)
+
+
+class _ReadLog(dict):
+    # A link snapshot that records, in order, every key it is asked for.
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = []
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return super().__getitem__(key)
+
+
+def test_evaluate_reads_up_to_first_rejected_link():
+    # Hops that run both up and down the ids, so half the keys are reversed.
+    path = (3, 0, 5, 1, 6, 2, 4)
+    keys = [(min(u, v), max(u, v)) for u, v in zip(path, path[1:])]
+    topo = _topology([((i + 0.5) / 7, 0.5) for i in range(7)], keys)
+    sub = Subgraph(topo, frozenset(range(7)))
+
+    def evaluate(bandwidths, *parents):
+        links = _ReadLog(zip(keys, bandwidths))
+        search = _Search(sub, path[0], path[-1], KnowledgeBase(link_available_mbps=links),
+                         random.Random(0), 4.5, None)
+        return search.evaluate(path, *parents), links.reads
+
+    for k in range(1, len(keys) + 1):
+        # hop k is the first below the threshold, and every later hop is too
+        bandwidths = [10.0 + i if i < k - 1 else 2.0 for i in range(len(keys))]
+        assert evaluate(bandwidths) == (REJECTED, keys[:k])
+    # accepted, with a tie at the threshold: each hop read once
+    assert evaluate([12.0, 4.5, 30.0, 7.0, 4.5, 9.0]) == (4.5, keys)
+    # a candidate equal to a given parent takes its rank unread
+    other = (3, 0, 5, 1, 6, 4)
+    assert evaluate([2.0] * len(keys), (other, 1.0), (path, 7.0)) == (7.0, [])
 
 
 @settings(max_examples=200, deadline=None)
@@ -908,20 +949,26 @@ def test_rescoring_cases_reach_every_branch():
 def test_parents_values_are_reused():
     # On a pinned n=256 trial, GA's children are mostly copies of a parent
     # and take its rank unscored, and some bee moves return their source.
+    # A candidate is scored when its evaluation reads the link snapshot.
     config, seed = RunConfig(), trial_seed(7, 256, 21)
-    trial = prepare_trial(256, seed, config)
-    score = optimizers.path_fitness
+    prepared = prepare_trial(256, seed, config)
+    evaluate = optimizers._Search.evaluate
     for algo in ("abc", "ga"):
-        calls, reported = [], []
+        links = _ReadLog(prepared.kb.link_available_mbps)
+        trial = dataclasses.replace(prepared, kb=KnowledgeBase(prepared.kb.records, links))
+        scored, reported = [], []
 
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return score(*args, **kwargs)
+        def counted(self, path, *parents):
+            before = len(links.reads)
+            value = evaluate(self, path, *parents)
+            if len(links.reads) > before:
+                scored.append(path)
+            return value
 
-        with mock.patch.object(optimizers, "path_fitness", counted):
+        with mock.patch.object(optimizers._Search, "evaluate", counted):
             search(trial, algo, config, seed, observer=lambda kind, path: reported.append(path))
         assert reported
-        assert len(calls) < (len(reported) / 2 if algo == "ga" else len(reported))
+        assert len(scored) < (len(reported) / 2 if algo == "ga" else len(reported))
 
 
 def test_config_validation():
