@@ -103,40 +103,55 @@ class RouteResult:
 
 def _member_row(edges: EdgeArrays, inside: np.ndarray, v: int) -> np.ndarray:
     # Member v's CSR slice of ``edges``, masked by the member mask ``inside``:
-    # its neighbors in the set, ascending ids.  The one row reader.
+    # its neighbors in the set, ascending ids.  ``neighbors`` reads rows so;
+    # the walks' rows are the same slices, gathered for every member at once.
     start = int(edges.starts[v])
     row = edges.neighbor[start:start + int(edges.degree[v])]
     return row[inside[row]]
 
 
-class _Rows(dict):
-    # The walks' one cache of rows, built from the topology's edge arrays and
-    # the member mask alone, so it holds no reference to its subgraph.
-    # ``members`` lists the members in ascending id order, which is rank
-    # order, and entry i is member i's row as ``(bits, ranks, degree)``:
-    # ``ranks`` lists the ranks of its neighbors in ascending order, ``bits``
-    # is the same set as an int with bit rank[u] set for each neighbor u, and
-    # ``degree`` is ``len(ranks)``.  A row is built on its first lookup.
-    # Every non-member has rank len(members), whose row is empty.
-    # ``upto[j]`` has bits 0..j set.
+class _Rows:
+    # The walks' rows over a subgraph's members, built in one pass over the
+    # topology's edge arrays and the member mask, so they hold no reference to
+    # their subgraph.  ``members`` lists the members in ascending id order,
+    # which is rank order, and ``rank`` maps each to its rank.  ``table[i]``
+    # is member i's row as ``(bits, ranks, degree)``: ``ranks`` lists the
+    # ranks of its neighbors in ascending order, ``bits`` is the same set as
+    # an int with bit rank[u] set for each neighbor u, and ``degree`` is
+    # ``len(ranks)``.  Every non-member has rank ``outside``, len(members),
+    # whose row, the table's last, is empty.  ``upto[j]`` has bits 0..j set.
+
+    __slots__ = ("members", "rank", "outside", "upto", "table")
 
     def __init__(self, edges: EdgeArrays, inside: np.ndarray):
-        super().__init__()
-        self.edges, self.inside = edges, inside
-        self.members = np.flatnonzero(inside).tolist()
+        members = np.flatnonzero(inside)
+        m = len(members)
+        # the members' CSR slices, end to end in rank order
+        degree = edges.degree[members]
+        ends = np.cumsum(degree)
+        offset = np.repeat(edges.starts[members] - (ends - degree), degree)
+        edge = offset + np.arange(len(offset))
+        # each neighbor's rank, or the sentinel m for a non-member; keep the
+        # members', so row i is ranks[bounds[i]:bounds[i + 1]], bounded by the
+        # kept edges before each slice's end
+        rank_of = np.full(len(inside), m)
+        rank_of[members] = np.arange(m)
+        ranks = rank_of[edges.neighbor[edge]]
+        kept = np.flatnonzero(ranks < m)
+        ranks = ranks[kept]
+        bounds = [0, *np.searchsorted(kept, ends).tolist()]
+        # row i's bit set, packed little-endian: bit j of its bytes is rank j
+        square = np.zeros((m, m), dtype=bool)
+        square[np.repeat(np.arange(m), np.diff(bounds)), ranks] = True
+        packed = np.packbits(square, axis=1, bitorder="little")
+        ranks = ranks.tolist()
+        self.table = [(int.from_bytes(row.tobytes(), "little"), ranks[lo:hi], hi - lo)
+                      for row, lo, hi in zip(packed, bounds, bounds[1:])]
+        self.table.append((0, [], 0))
+        self.members = members.tolist()
         self.rank = {v: i for i, v in enumerate(self.members)}
-        self.outside = len(self.members)
-        self.upto = [(2 << j) - 1 for j in range(self.outside)]
-        self[self.outside] = (0, [], 0)
-
-    def __missing__(self, i: int) -> tuple[int, list[int], int]:
-        rank = self.rank
-        ranks = [rank[u] for u in _member_row(self.edges, self.inside, self.members[i]).tolist()]
-        bits = 0
-        for j in ranks:
-            bits |= 1 << j
-        row = self[i] = (bits, ranks, len(ranks))
-        return row
+        self.outside = m
+        self.upto = [(2 << j) - 1 for j in range(m)]
 
 
 class Subgraph:
@@ -145,12 +160,11 @@ class Subgraph:
     The member mask over node ids is the subgraph's one private member
     index.  ``neighbors(v)`` reads member ``v``'s CSR row of the topology's
     edges, masked by it, on each call, in ascending id order, and gives
-    ``()`` for any other id.  The walks read the same rows, from the same
-    reader, as rank lists and bit sets over the members' ranks, their one
-    cache: built from the edge arrays and the mask when the first walk
-    runs, one row at a time as the walks reach members, and holding no
-    reference back to the subgraph.  A query that ends at the prune builds
-    none of it.
+    ``()`` for any other id.  The walks read the same rows as rank lists and
+    bit sets over the members' ranks, their one cache: every member's row is
+    built in one array pass over the edge arrays and the mask when the first
+    walk runs, into a list indexed by rank, and none of it refers back to
+    the subgraph.  A query that ends at the prune builds none of it.
     """
 
     def __init__(self, topology: Topology, allowed: frozenset[int]):
@@ -209,7 +223,8 @@ def _walk(rows: _Rows, prefix: PathNodes, destination: int,
     # whole path, or None on a dead end.  Every path move is this walk: a
     # scout extends the source alone, a bee move and a GA mutation a kept
     # prefix of the path they change.  The hot loop of both searches runs on
-    # member ranks: ``visited`` is a bit set over them, ``seen`` the row's
+    # member ranks, reading each step's row from ``table``, a plain list, by
+    # the current rank: ``visited`` is a bit set over them, ``seen`` the row's
     # visited neighbors, and the pick is _randbelow inlined over the count
     # of the unvisited ones, then ``ranks[j]`` for the least j with exactly
     # r unvisited ranks before it.  From j = r, each pass sets j to r plus
@@ -219,13 +234,14 @@ def _walk(rows: _Rows, prefix: PathNodes, destination: int,
     # ranks[j] is the neighbor randrange(len(choices)) would pick from the
     # unvisited ones listed in neighbor order.
     members, rank, outside, upto = rows.members, rows.rank, rows.outside, rows.upto
+    table = rows.table
     visited = 0
     for v in prefix:
         visited |= 1 << rank.get(v, outside)
     cur, target = rank.get(prefix[-1], outside), rank.get(destination, -1)
     path = [*prefix]
     while True:
-        bits, ranks, degree = rows[cur]
+        bits, ranks, degree = table[cur]
         seen = bits & visited
         n = degree - seen.bit_count()
         if not n:

@@ -1,6 +1,7 @@
 """Micro-benchmarks of the search hot path and of both searches on one fixed
 n=256 trial, of generating and of grading one fixed n=1024 topology, and of
-two queries on it: one that ends at the prune and one routed GA search.
+two queries on it: one that ends at the prune and one routed GA search,
+whose subgraph's walk rows are also timed alone.
 
 The timings are informational (no thresholds); compare them across commits
 with ``pytest tests/test_microbench.py --benchmark-autosave`` and
@@ -195,3 +196,21 @@ def test_bench_ga_search_1024(benchmark, topology_1024):
     assert 150 <= len(subgraph.allowed) <= 300
     assert result.found
     assert path_is_valid(result.best_path, subgraph, source, destination)
+
+
+def test_bench_subgraph_rows_1024(benchmark, topology_1024):
+    # The walks' rows of test_bench_ga_search_1024's pruned subgraph (296
+    # members), built in one pass over the edge arrays: a round reads
+    # ``_rows`` on a fresh Subgraph of the same members.
+    topology = topology_1024
+    args, _ = _grading_inputs(topology)
+    kb = build_knowledge_base(*args)
+    source, destination = 0, 110
+    candidates = (quadrant_candidates(topology, source, destination)
+                  & select_feasible(topology, kb, CONFIG.selection_mode))
+    rows = benchmark.pedantic(
+        lambda subgraph: subgraph._rows,
+        setup=lambda: ((Subgraph.from_topology(topology, candidates, source),), {}),
+        rounds=20, iterations=1)
+    assert rows.members == sorted(candidates | {source})
+    assert len(rows.table) == len(rows.members) + 1

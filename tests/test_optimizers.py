@@ -505,14 +505,52 @@ def test_subgraph_is_link_adjacency_restricted_to_allowed(case):
     assert all(type(v) is int for _, nbrs in rows for v in nbrs)
 
 
+def _assert_rows_match_the_oracle(topo, allowed):
+    # Every row of the walks' table against the oracle's adjacency: its bit
+    # set and its rank list each decode to the member's neighbors in the set,
+    # the two hold the same ranks, its degree is the list's length, and the
+    # last row, every non-member's, is empty.
+    adj = adjacency(topo)
+    members = sorted(allowed)
+    rows = Subgraph(topo, allowed)._rows
+    assert type(rows.table) is list and len(rows.table) == len(members) + 1
+    assert rows.members == members and rows.outside == len(members)
+    assert rows.rank == {v: i for i, v in enumerate(members)}
+    assert rows.upto == [(2 << j) - 1 for j in range(len(members))]
+    for v, (bits, ranks, degree) in zip(members, rows.table):
+        assert type(ranks) is list and all(type(j) is int for j in ranks)
+        assert ranks == [j for j in range(bits.bit_length()) if bits >> j & 1]
+        assert degree == len(ranks)
+        assert tuple(members[j] for j in ranks) == tuple(sorted(adj[v] & allowed))
+    assert rows.table[-1] == (0, [], 0)
+
+
+@pytest.mark.parametrize("allowed", [
+    {0, 1, 2, 3, 6, 7},  # first and last members linkless, 6 linked only outside
+    {0, 3, 4},  # rank 0 linkless before linked members
+    {1, 2, 3, 4, 5, 6, 7},  # the last member linkless
+    {6, 1},  # each member linked only outside the set
+    {3},
+    {0},
+    set(range(8)),
+    set(),
+], ids=repr)
+def test_subgraph_rows_built_in_one_pass_edge_cases(allowed):
+    # Nodes 0 and 7 have no links; 6's only neighbor is 5.
+    topo = _topology([((i + 0.5) / 8, 0.5) for i in range(8)],
+                     [(1, 2), (3, 1), (2, 3), (3, 4), (5, 4), (5, 6)])
+    _assert_rows_match_the_oracle(topo, frozenset(allowed))
+
+
 @settings(max_examples=300, deadline=None)
 @given(_topologies_and_allowed(), st.data())
-def test_subgraph_rows_built_on_first_use_match_the_oracle(case, data):
-    # The walks' rows are built as they are first read, in any order and some
-    # of them twice.  Each row's bit set and its rank list each decode to the
-    # oracle's row, the two hold the same ranks, and its degree is the rank
-    # list's length; ``neighbors`` of a non-member, a negative id or one past
-    # the last node is empty and must not wrap around to another node's row.
+def test_subgraph_rows_built_in_one_pass_match_the_oracle(case, data):
+    # The walks' rows are all built when ``_rows`` is first read and then
+    # read in any order, some of them twice.  Each row's bit set and its rank
+    # list each decode to the oracle's row, the two hold the same ranks, and
+    # its degree is the rank list's length; ``neighbors`` of a non-member, a
+    # negative id or one past the last node is empty and must not wrap around
+    # to another node's row.
     topo, allowed = case
     adj = adjacency(topo)
     expected = {v: tuple(sorted(adj[v] & allowed)) if v in allowed else ()
@@ -522,7 +560,7 @@ def test_subgraph_rows_built_on_first_use_match_the_oracle(case, data):
     members = sorted(allowed)
     reads = data.draw(st.lists(st.integers(0, len(members)), max_size=3 * len(members) + 3))
     for i in reads:
-        bits, ranks, degree = sub._rows[i]
+        bits, ranks, degree = sub._rows.table[i]
         bit_ranks = [j for j in range(bits.bit_length()) if bits >> j & 1]
         assert list(ranks) == bit_ranks
         assert degree == len(ranks)
