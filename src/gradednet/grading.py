@@ -3,9 +3,11 @@
 Level 1 classifies every node into a priority class 1..6 by walking a nested
 QoS check: network lifetime, then packet density, then congestion, then
 resource availability, then delay.  Class 1 means all checks passed; each
-failed check short-circuits to a worse class.  Level 2 assigns the surviving
-nodes a numeric grade in [0, 1]: the mean free fraction of their incident
-links, i.e. how much bandwidth headroom the node offers a route.
+failed check short-circuits to a worse class.  Level 2 assigns every node a
+numeric grade in [0, 1]: the mean free fraction of its incident links, i.e.
+how much bandwidth headroom the node offers a route.  The grade is computed
+first, since level 1's congestion check reads it; routing reads only the
+level-1 priority (``select_feasible``).
 """
 
 from __future__ import annotations

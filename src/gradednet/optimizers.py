@@ -279,27 +279,12 @@ def random_path(subgraph: Subgraph, source: int, destination: int,
     return None
 
 
-def neighbor_path(path: PathNodes, subgraph: Subgraph, rng: random.Random) -> PathNodes:
-    """Perturb a path: keep a random prefix, regrow the suffix to the destination.
-
-    The cut point is any node except the destination; the regrown suffix
-    avoids the kept prefix.  If none of ``REGROW_RETRIES`` regrowths succeeds
-    the original path is returned unchanged.  A path of fewer than two
-    nodes has no cut point, and one that repeats a node could be cut to a
-    prefix holding its destination; both are a ValueError raised before any
-    draw.
-    """
-    if len(path) < 2:
-        raise ValueError(f"path {path} has fewer than 2 nodes")
-    if len(set(path)) != len(path):
-        raise ValueError(f"path {path} repeats a node")
-    return _perturb(path, subgraph._rows, rng.getrandbits)
-
-
 def _perturb(path: PathNodes, rows: _Rows, getrandbits: Callable[[int], int]) -> PathNodes:
-    # neighbor_path past its checks.  The bees call it directly: their food
-    # sources are walks, simple paths of two or more nodes, and the check for
-    # a repeated node would cost each bee move a set over its path.
+    # The bees' move: keep a random prefix short of the destination, regrow
+    # the rest avoiding it; ``path`` unchanged after REGROW_RETRIES dead ends.
+    # ``path`` must be a simple path of two or more nodes, as every food
+    # source is, and nothing checks it: a shorter one has no cut point, and a
+    # cut of one that repeats a node could keep its destination.
     for _ in range(REGROW_RETRIES):
         cut = _randbelow(getrandbits, len(path) - 1)
         regrown = _walk(rows, path[:cut + 1], path[-1], getrandbits)
@@ -358,11 +343,6 @@ def _spin(wheel: list[float], rng: random.Random) -> int:
     return min(bisect.bisect_right(wheel, r), len(wheel) - 1)
 
 
-def roulette_select(weights: list[float] | tuple[float, ...], rng: random.Random) -> int:
-    """Fitness-proportional index selection; uniform when all weights are zero."""
-    return _spin(_wheel(weights), rng)
-
-
 def _excise_loops(path: PathNodes) -> PathNodes:
     # Remove any cycle between duplicate occurrences of a node, left to
     # right, in linear time: ``at`` maps each kept node to its position in
@@ -413,13 +393,12 @@ class _Search:
     float: its bottleneck, or ``REJECTED``.  ``evaluate`` is the one place a
     candidate gets its rank, once per candidate; it stops reading a rejected
     candidate at its first link below the threshold.  ``path_fitness`` is the
-    validating reference that the tests and the benchmark score with."""
+    validating reference that the tests and the benchmark score with.  Equal
+    endpoints are ``random_path``'s ValueError, at the first scout."""
 
     def __init__(self, subgraph: Subgraph, source: int, destination: int,
                  kb: KnowledgeBase, rng: random.Random, bw_threshold: float,
                  observer: Observer | None) -> None:
-        if source == destination:
-            raise ValueError("source and destination must differ")
         self.subgraph, self.source, self.destination = subgraph, source, destination
         self.rng, self.bw_threshold, self.observer = rng, bw_threshold, observer
         self._available = kb.link_available_mbps

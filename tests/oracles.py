@@ -10,7 +10,7 @@ eager generator builds its ``Link`` list from one dense distance pass.
 The grading oracle takes only the record types from ``gradednet.grading``:
 it classifies each node with its own nested checks and makes its own
 Poisson and multinomial arrival draws.  The search oracles keep the
-searches' plainest bookkeeping, on the randrange walks: a roulette built
+searches' plainest bookkeeping, on the randrange walks: a roulette scan
 for every pick, every candidate scored by ``path_fitness``, the
 set-intersection crossover and loop excision by list scans.
 """
@@ -31,7 +31,6 @@ from gradednet.optimizers import (
     Fitness,
     RouteResult,
     path_fitness,
-    roulette_select,
 )
 from gradednet.topology import (
     DEFAULT_CAPACITY_MBPS,
@@ -219,8 +218,8 @@ def extend_by_randrange(subgraph, prefix, destination: int, rng):
 
 
 def neighbor_path_by_randrange(path, subgraph, rng):
-    """``neighbor_path`` built on ``extend_by_randrange``: a random cut, then a
-    regrown suffix that avoids the kept prefix."""
+    """The bees' move, ``_perturb``, built on ``extend_by_randrange``: a random
+    cut, then a regrown suffix that avoids the kept prefix."""
     for _ in range(REGROW_RETRIES):
         cut = rng.randrange(len(path) - 1)
         regrown = extend_by_randrange(subgraph, path[:cut + 1], path[-1], rng)
@@ -318,7 +317,7 @@ class _Rescoring:
 
 def abc_search_by_rescoring(subgraph, source, destination, cfg, kb, rng, *,
                             bw_threshold=0.0, observer=None, tally=None):
-    """``abc_search`` with a roulette built for every onlooker's pick and every
+    """``abc_search`` with a roulette scan for every onlooker's pick and every
     candidate scored.  ``tally`` counts accepted onlookers and scouts."""
     tally = Counter() if tally is None else tally
     search = _Rescoring(subgraph, source, destination, kb, rng, bw_threshold, observer)
@@ -340,7 +339,7 @@ def abc_search_by_rescoring(subgraph, source, destination, cfg, kb, rng, *,
         for src in sources:
             improve(src, "employed")
         for _ in range(cfg.colony_size):
-            pick = roulette_select([max(value, 0.0) for _, value, _ in sources], rng)
+            pick = roulette_by_scan([max(value, 0.0) for _, value, _ in sources], rng)
             if improve(sources[pick], "onlooker"):
                 tally["onlooker accepted"] += 1
         for src in sources:
@@ -356,7 +355,7 @@ def abc_search_by_rescoring(subgraph, source, destination, cfg, kb, rng, *,
 
 def ga_search_by_rescoring(subgraph, source, destination, cfg, kb, rng, *,
                            bw_threshold=0.0, observer=None, tally=None):
-    """``ga_search`` with a roulette built for every pick, every child scored
+    """``ga_search`` with a roulette scan for every pick, every child scored
     and ``crossover_by_intersection``.  ``tally`` counts mutations and
     repairs."""
     tally = Counter() if tally is None else tally
@@ -377,8 +376,8 @@ def ga_search_by_rescoring(subgraph, source, destination, cfg, kb, rng, *,
     for _ in range(cfg.generations):
         offspring = []
         while len(offspring) < len(population):
-            pa, va = population[roulette_select([max(v, 0.0) for _, v in population], rng)]
-            pb, _ = population[roulette_select([max(v, 0.0) for _, v in population], rng)]
+            pa, va = population[roulette_by_scan([max(v, 0.0) for _, v in population], rng)]
+            pb, _ = population[roulette_by_scan([max(v, 0.0) for _, v in population], rng)]
             for child in crossover_by_intersection(pa, pb, rng):
                 child = mutate(child)
                 value = search.score(child)

@@ -26,10 +26,10 @@ from gradednet.grading import build_knowledge_base, select_feasible
 from gradednet.optimizers import (
     REJECTED,
     Subgraph,
+    _perturb,
     _Search,
     abc_search,
     ga_search,
-    neighbor_path,
     path_fitness,
     path_is_valid,
     random_path,
@@ -55,9 +55,9 @@ def trial():
 
 
 def _perturbation_chain(start, subgraph, rng):
-    paths = [start]
+    paths, rows, getrandbits = [start], subgraph._rows, rng.getrandbits
     for _ in range(STEPS):
-        paths.append(neighbor_path(paths[-1], subgraph, rng))
+        paths.append(_perturb(paths[-1], rows, getrandbits))
     return paths
 
 

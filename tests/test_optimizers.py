@@ -33,16 +33,17 @@ from gradednet.optimizers import (
     GaConfig,
     Subgraph,
     _excise_loops,
+    _perturb,
     _Search,
     _randbelow,
+    _spin,
+    _wheel,
     abc_search,
     ga_search,
     modified_crossover,
-    neighbor_path,
     path_fitness,
     path_is_valid,
     random_path,
-    roulette_select,
 )
 from gradednet.topology import Link, Node, QosInputs, Topology, generate_topology
 from gradednet.traffic import sample_link_states
@@ -110,17 +111,17 @@ def test_random_path_invariants_on_random_subgraphs():
             assert path_is_valid(path, sub, 0, destination)
 
 
-def test_neighbor_path_single_hop():
+def test_perturb_single_hop():
     topo = _line_topology()
     sub = Subgraph.from_topology(topo, {1, 2}, 0)
     base = (0, 1, 2)
     for seed in range(10):
-        regrown = neighbor_path(base, sub, random.Random(seed))
+        regrown = _perturb(base, sub._rows, random.Random(seed).getrandbits)
         assert path_is_valid(regrown, sub, 0, 2)
         assert regrown == base  # unique path in a line graph
 
 
-def test_neighbor_path_property_scan():
+def test_perturb_property_scan():
     count = 0
     for seed in range(40):
         topo, kb, sub = _random_setup(seed, n=16, density=0.35)
@@ -129,7 +130,7 @@ def test_neighbor_path_property_scan():
         if path is None:
             continue
         for _ in range(25):
-            path = neighbor_path(path, sub, rng)
+            path = _perturb(path, sub._rows, rng.getrandbits)
             assert path_is_valid(path, sub, 0, 15)
             count += 1
     assert count > 400
@@ -338,21 +339,18 @@ def test_walks_draw_as_randrange(case, seed, data):
     assert rng.getstate() == oracle.getstate()
     path = expected = start
     for _ in range(5):
-        path = neighbor_path(path, sub, rng)
+        path = _perturb(path, sub._rows, rng.getrandbits)
         expected = neighbor_path_by_randrange(expected, sub, oracle)
         assert path == expected
         assert rng.getstate() == oracle.getstate()
 
 
 def test_walks_reject_degenerate_input():
-    # A one-node path has no cut point and equal endpoints have no path:
-    # both are errors raised before any draw and before any row is built.
+    # Equal endpoints have no path: an error raised before any draw and
+    # before any row is built.
     sub = Subgraph(_line_topology(), frozenset({0, 1, 2}))
     rng = random.Random(0)
     state = rng.getstate()
-    for path in ((1,), ()):
-        with pytest.raises(ValueError):
-            neighbor_path(path, sub, rng)
     for v in (1, 3):
         with pytest.raises(ValueError, match="must differ"):
             random_path(sub, v, v, rng)
@@ -360,18 +358,20 @@ def test_walks_reject_degenerate_input():
     assert "_rows" not in vars(sub)
 
 
-def test_neighbor_path_rejects_a_path_that_repeats_a_node():
-    # A cut of such a path can keep its destination, and no regrowth ends at
-    # a node it has visited: the error comes before any draw or row.
-    topo, kb, sub = _random_setup(4, n=16, density=0.35)
-    path = random_path(Subgraph(topo, sub.allowed), 0, 15, random.Random(0))
-    assert path is not None and len(path) > 2
-    rng = random.Random(1)
-    state = rng.getstate()
-    for repeated in (path + (0,), (15,) + path, path[:2] + path[1:], (0, 1, 0)):
-        with pytest.raises(ValueError, match="repeats a node"):
-            neighbor_path(repeated, sub, rng)
-    assert rng.getstate() == state
+def test_searches_reject_equal_endpoints():
+    # Both searches scout first, so random_path's error is theirs, raised
+    # before any draw, any observer event or any row.
+    topo = _line_topology()
+    sub = Subgraph(topo, frozenset({0, 1, 2}))
+    kb, events = _kb_for(topo), []
+    for run, cfg in ((abc_search, AbcConfig()), (ga_search, GaConfig())):
+        for v in (1, 3):
+            rng = random.Random(0)
+            state = rng.getstate()
+            with pytest.raises(ValueError, match="must differ"):
+                run(sub, v, v, cfg, kb, rng, observer=lambda *event: events.append(event))
+            assert rng.getstate() == state
+    assert events == []
     assert "_rows" not in vars(sub)
 
 
@@ -392,14 +392,15 @@ def test_walks_draw_as_randrange_on_complete_subgraphs(m):
     sub = _complete_subgraph(m)
     for seed in range(3):
         rng, oracle = random.Random(seed), random.Random(seed)
-        assert neighbor_path((0, m), sub, rng) == neighbor_path_by_randrange((0, m), sub, oracle)
+        assert (_perturb((0, m), sub._rows, rng.getrandbits)
+                == neighbor_path_by_randrange((0, m), sub, oracle))
         assert rng.getstate() == oracle.getstate()
         path = random_path(sub, 0, m - 1, rng)
         assert path == random_path_by_randrange(sub, 0, m - 1, oracle)
         assert rng.getstate() == oracle.getstate()
         expected = path
         for _ in range(20):
-            path = neighbor_path(path, sub, rng)
+            path = _perturb(path, sub._rows, rng.getrandbits)
             expected = neighbor_path_by_randrange(expected, sub, oracle)
             assert path == expected
             assert rng.getstate() == oracle.getstate()
@@ -420,7 +421,8 @@ def test_walk_picks_past_many_visited_neighbors(m):
         assert (optimizers._walk(sub._rows, prefix, destination, rng.getrandbits)
                 == extend_by_randrange(sub, prefix, destination, oracle))
         assert rng.getstate() == oracle.getstate()
-        assert neighbor_path(order, sub, rng) == neighbor_path_by_randrange(order, sub, oracle)
+        assert (_perturb(order, sub._rows, rng.getrandbits)
+                == neighbor_path_by_randrange(order, sub, oracle))
         assert rng.getstate() == oracle.getstate()
 
 
@@ -605,24 +607,24 @@ def test_walked_subgraph_is_freed_by_reference_counting():
 # ---------------------------------------------------------------- roulette
 
 def test_roulette_single_candidate():
-    assert roulette_select([3.0], random.Random(0)) == 0
+    assert _spin(_wheel([3.0]), random.Random(0)) == 0
 
 
 def test_roulette_zero_prefix_never_selected():
     rng = random.Random(1)
     for _ in range(200):
-        assert roulette_select([0.0, 0.0, 5.0], rng) == 2
+        assert _spin(_wheel([0.0, 0.0, 5.0]), rng) == 2
 
 
 def test_roulette_frequency():
     rng = random.Random(42)
-    hits = sum(roulette_select([1.0, 3.0], rng) for _ in range(100000))
+    hits = sum(_spin(_wheel([1.0, 3.0]), rng) for _ in range(100000))
     assert abs(hits / 100000 - 0.75) < 0.01
 
 
 def test_roulette_all_zero_uniform():
     rng = random.Random(3)
-    seen = {roulette_select([0.0, 0.0, 0.0], rng) for _ in range(200)}
+    seen = {_spin(_wheel([0.0, 0.0, 0.0]), rng) for _ in range(200)}
     assert seen == {0, 1, 2}
 
 
@@ -631,24 +633,24 @@ def test_roulette_all_zero_uniform():
 def test_roulette_picks_as_a_left_to_right_scan(weights, seed):
     # same pick and same draws; the scan's total is its own left-to-right sum
     rng, scan_rng = random.Random(seed), random.Random(seed)
-    assert roulette_select(weights, rng) == roulette_by_scan(weights, scan_rng)
+    assert _spin(_wheel(weights), rng) == roulette_by_scan(weights, scan_rng)
     assert rng.random() == scan_rng.random()
 
 
 def test_roulette_validation():
     with pytest.raises(ValueError):
-        roulette_select([], random.Random(0))
+        _wheel([])
     with pytest.raises(ValueError):
-        roulette_select([-1.0, 2.0], random.Random(0))
+        _wheel([-1.0, 2.0])
     # a NaN before or after a negative weight does not hide it
     for weights in ([math.nan, -1.0], [-1.0, math.nan]):
         with pytest.raises(ValueError):
-            roulette_select(weights, random.Random(0))
+            _wheel(weights)
 
 
 def test_roulette_accepts_negative_zero():
-    assert roulette_select([-0.0], random.Random(0)) == 0
-    assert roulette_select([-0.0, 2.0], random.Random(0)) == 1
+    assert _spin(_wheel([-0.0]), random.Random(0)) == 0
+    assert _spin(_wheel([-0.0, 2.0]), random.Random(0)) == 1
 
 
 # ---------------------------------------------------------------- crossover
