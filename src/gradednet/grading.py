@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .topology import DEFAULT_LIFETIME_SCALE, Topology, check_positive, write_json
+from .topology import (DEFAULT_LIFETIME_SCALE, EdgeArrays, Topology, check_positive,
+                       write_json)
 from .traffic import LinkState, available_bandwidth, load_fraction
 
 SELECTION_MODES = ("best-classes", "literal")
@@ -171,8 +172,14 @@ def _node_delays(lam: np.ndarray, capacities: np.ndarray, mu: float,
     all its flows are 0.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        terms = (lam / gamma_total[owner]) * (1.0 / (mu * capacities - lam))
+        # (lam / gamma) * (1.0 / (mu*C - lam)), in place: the same operations in the same order
+        terms = lam / gamma_total[owner]
+        slack = mu * capacities
+        slack -= lam
+        np.divide(1.0, slack, out=slack)
+        terms *= slack
     delay = _sums(owner, terms, n)
+    del terms, slack  # freed before the channel counts below make their own arrays
     delay[_sums(owner, lam != 0.0, n) == 0] = 0.0
     delay[_sums(owner, _saturated(lam, capacities, mu), n) > 0] = math.inf
     return delay
@@ -231,6 +238,19 @@ def build_knowledge_base(topology: Topology,
     node's sums run over its links in neighbor order, left to right.
     """
     edges = topology.edges
+    free, priority, delay, available, grade = _grade_columns(edges, link_states, config, rng)
+    # Built last, once the per-edge arrays they come from are freed.
+    records = {v: GradeRecord(node=v, priority=p, delay_s=d, available_bw_mbps=a, grade=g)
+               for v, p, d, a, g in zip(range(topology.n), priority.tolist(), delay.tolist(),
+                                        available.tolist(), grade.tolist())}
+    return KnowledgeBase(records=records,
+                         link_available_mbps=dict(zip(edges.keys, free.tolist())))
+
+
+def _grade_columns(edges: EdgeArrays, link_states: LinkState, config: GradingConfig,
+                   rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """Each link's free bandwidth, then each node's priority, delay, available
+    bandwidth and grade, for ``build_knowledge_base``."""
     capacity = edges.capacity_mbps
     for column in (link_states.t0, link_states.gamma):
         if np.ndim(column) and np.shape(column) != capacity.shape:
@@ -243,28 +263,11 @@ def build_knowledge_base(topology: Topology,
     free = available_bandwidth(capacity, loaded)
     flows = loaded * capacity / config.flow_rate_mbps
     channels = capacity / config.flow_rate_mbps
-    kb = KnowledgeBase(link_available_mbps=dict(zip(edges.keys, free.tolist())))
 
-    n = topology.n
+    n = len(edges.degree)
     lifetimes = rng.uniform(0.0, config.lifetime_scale, n)
     resources = rng.random(n) < config.resource_prob
-
-    # Each linked node, in id order, hands one window of Poisson arrivals to
-    # its neighbors uniformly; a node's density is what its neighbors send it.
-    sent = np.zeros(len(edges.node), dtype=np.int64)
-    uniform: dict[int, np.ndarray] = {}
-    mean_arrivals = config.alpha * config.arrival_horizon_s
-    for start, degree in zip(edges.starts.tolist(), edges.degree.tolist()):
-        if not degree:
-            continue
-        if degree not in uniform:
-            # The renormalized vector, not the bare 1/degree one, is what the
-            # recorded multinomial draws were made with; keep it.
-            probs = np.full(degree, 1.0 / degree)
-            uniform[degree] = probs / probs.sum()
-        total = int(rng.poisson(mean_arrivals))
-        sent[start:start + degree] = rng.multinomial(total, uniform[degree])
-    densities = _sums(edges.neighbor, sent, n).astype(np.int64)
+    densities = _densities(edges, config.alpha * config.arrival_horizon_s, rng)
 
     # Level 2: the mean free fraction, which is also level 1's congestion measure.
     node, link = edges.node, edges.link
@@ -289,10 +292,28 @@ def build_knowledge_base(topology: Topology,
     priority = level1_priority(lifetimes, densities, congested, resources, delayed,
                                density_threshold=config.density_threshold,
                                lifetime_threshold=config.lifetime_threshold)
-    kb.records = {v: GradeRecord(node=v, priority=p, delay_s=d, available_bw_mbps=a, grade=g)
-                  for v, p, d, a, g in zip(range(n), priority.tolist(), delay.tolist(),
-                                           available.tolist(), grade.tolist())}
-    return kb
+    return free, priority, delay, available, grade
+
+
+def _densities(edges: EdgeArrays, mean_arrivals: float, rng: np.random.Generator) -> np.ndarray:
+    """Packets each node received in one window of Poisson arrivals.
+
+    Each linked node, in id order, hands its window's arrivals to its
+    neighbors uniformly; a node's density is what its neighbors send it.
+    """
+    sent = np.zeros(len(edges.node), dtype=np.int64)
+    uniform: dict[int, np.ndarray] = {}
+    for start, degree in zip(edges.starts.tolist(), edges.degree.tolist()):
+        if not degree:
+            continue
+        if degree not in uniform:
+            # The renormalized vector, not the bare 1/degree one, is what the
+            # recorded multinomial draws were made with; keep it.
+            probs = np.full(degree, 1.0 / degree)
+            uniform[degree] = probs / probs.sum()
+        total = int(rng.poisson(mean_arrivals))
+        sent[start:start + degree] = rng.multinomial(total, uniform[degree])
+    return _sums(edges.neighbor, sent, len(edges.degree)).astype(np.int64)
 
 
 def grade_dump(kb: KnowledgeBase, mode: str) -> list[dict]:

@@ -72,7 +72,7 @@ class Node:
         return (self.x, self.y)
 
 
-@dataclass
+@dataclass(slots=True)
 class Link:
     """Undirected link between two nodes; ``Topology`` checks it, grading samples its load."""
 
@@ -86,7 +86,8 @@ class EdgeArrays:
     """A topology's links as numpy arrays, the form grading and ``Subgraph`` compute on.
 
     capacity_mbps: one entry per link, in ``Topology.links`` order
-    keys:     each link's ``(min(a, b), max(a, b))``, in the same order
+    keys:     each link's ``(min(a, b), max(a, b))``, in the same order; all
+              keys share one int object per node id
     node, neighbor, link: the directed edges (both directions of every link)
               sorted by (node, neighbor), each with the index of its link
     degree:   links per node
@@ -130,9 +131,10 @@ class EdgeArrays:
         neighbor = np.concatenate((hi, lo))
         order = np.argsort(node * n + neighbor)  # keys are unique: one per directed edge
         degree = np.bincount(node, minlength=n)
+        ids = np.arange(n).astype(object)
         return cls(
             capacity_mbps=capacity_mbps,
-            keys=list(zip(lo.tolist(), hi.tolist())),
+            keys=list(zip(ids[lo].tolist(), ids[hi].tolist())),
             node=node[order].astype(np.int32), neighbor=neighbor[order].astype(np.int32),
             link=np.tile(np.arange(len(a), dtype=np.int32), 2)[order],
             degree=degree, starts=np.cumsum(degree) - degree,
@@ -205,6 +207,12 @@ class Topology:
         return 0 <= node < len(self.nodes)
 
 
+def _squared_distances(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Squared distance from each of ``rows`` (k x 2) to each of ``points`` (m x 2), k x m."""
+    diff = rows[:, None, :] - points[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
 def generate_topology(n: int, link_density: float, seed: int, *,
                       capacity_mbps: float = DEFAULT_CAPACITY_MBPS,
                       lifetime_scale: float = DEFAULT_LIFETIME_SCALE) -> Topology:
@@ -225,15 +233,16 @@ def generate_topology(n: int, link_density: float, seed: int, *,
     lifetimes = rng.uniform(0.0, lifetime_scale, n)
 
     radius = math.sqrt(link_density / math.pi)
-    # Squared distances a block of rows at a time, so the n x n x 2 offsets
-    # never exist at once; each entry is computed as by one dense pass.
-    dist2 = np.empty((n, n))
+    # The radius is tested a block of rows at a time, against the columns from
+    # the block's first row on, and each block keeps only its pairs i < j, in
+    # row-major order: no n x n array ever exists.  Each squared distance is
+    # computed as by one dense pass.
+    blocks = []
     for start in range(0, n, _DISTANCE_BLOCK_ROWS):
-        diff = points[start:start + _DISTANCE_BLOCK_ROWS, None, :] - points[None, :, :]
-        dist2[start:start + _DISTANCE_BLOCK_ROWS] = np.einsum("ijk,ijk->ij", diff, diff)
-    within = dist2 <= radius * radius
-    upper = np.triu(within, k=1)
-    pairs = np.argwhere(upper)
+        near = np.argwhere(_squared_distances(points[start:start + _DISTANCE_BLOCK_ROWS],
+                                              points[start:]) <= radius * radius)
+        blocks.append(near[near[:, 1] > near[:, 0]] + start)
+    pairs = np.concatenate(blocks)
     degree = np.bincount(pairs.ravel(), minlength=n)
 
     # Attach every isolated node to its geometrically nearest peer.  The
@@ -242,7 +251,7 @@ def generate_topology(n: int, link_density: float, seed: int, *,
     for i in np.flatnonzero(degree == 0).tolist():
         if degree[i] > 0:
             continue
-        d2 = dist2[i].copy()
+        d2 = _squared_distances(points[i:i + 1], points)[0]
         d2[i] = np.inf
         j = int(np.argmin(d2))
         attached.append((min(i, j), max(i, j)))

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,9 +89,30 @@ def test_generate_matches_the_eager_link_list(n, density, seed):
     _assert_generated_as_eagerly(n, density, seed)
 
 
-@pytest.mark.parametrize("n", [1024, 1500])  # 1500 rows end in a part block of distances
-def test_generate_matches_the_eager_link_list_at_scale(n):
-    _assert_generated_as_eagerly(n, 0.2, 11)
+# 1500 rows end in a part block of distances; the sparse case attaches
+# isolated nodes in every block
+@pytest.mark.parametrize("n, density", [(1024, 0.2), (1500, 0.2), (1500, 0.0005)],
+                         ids=["1024", "1500", "1500-sparse"])
+def test_generate_matches_the_eager_link_list_at_scale(n, density):
+    _assert_generated_as_eagerly(n, density, 11)
+
+
+def test_generate_holds_no_n_by_n_array():
+    # distances are tested a block of rows at a time, so the peak stays well
+    # under one n x n float array
+    n = 2048
+    tracemalloc.start()
+    try:
+        generate_topology(n, 0.005, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 2
+
+
+def test_generated_link_keys_share_one_int_per_node():
+    topo = generate_topology(1024, 0.2, 3)
+    assert len({id(v) for key in topo.edges.keys for v in key}) <= topo.n
 
 
 def test_generated_links_keep_the_given_capacity(tmp_path):
