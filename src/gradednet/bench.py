@@ -125,7 +125,7 @@ class PreparedTrial:
 
     topology: Topology
     kb: KnowledgeBase
-    feasible: set[int]
+    feasible: frozenset[int]
     source: int
     destination: int
     subgraph: Subgraph

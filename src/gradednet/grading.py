@@ -59,10 +59,18 @@ class GradeRecord:
 
 @dataclass
 class KnowledgeBase:
-    """Per-node grade records plus the per-link bandwidth snapshot they were built from."""
+    """Per-node grade records plus the per-link bandwidth snapshot they were built from.
+
+    A knowledge base is not changed after its first selection:
+    ``select_feasible`` stores the nodes it selects under each mode and
+    returns that set on every later call, so records changed after it would
+    not be seen.  The stored selections take no part in ``==`` or ``repr``.
+    """
 
     records: dict[int, GradeRecord] = field(default_factory=dict)
     link_available_mbps: dict[tuple[int, int], float] = field(default_factory=dict)
+    _selected: dict[str, frozenset[int]] = field(default_factory=dict, init=False,
+                                                 compare=False, repr=False)
 
     def available_on(self, a: int, b: int) -> float:
         key = (a, b) if a < b else (b, a)
@@ -206,20 +214,31 @@ def average_delay(d: DelayInputs) -> float:
 
 
 def select_feasible(topology: Topology, kb: KnowledgeBase,
-                    mode: str = "best-classes") -> set[int]:
+                    mode: str = "best-classes") -> frozenset[int]:
     """Nodes allowed to participate in routing, by priority class.
 
     ``best-classes`` keeps priorities 1..3 (the reading where class 1 is the
     best node); ``literal`` keeps priorities >= 3.  The mode used is recorded
     in every output artifact because the two readings disagree.
+
+    The first call for a knowledge base and a mode reads its records and
+    stores the set in the knowledge base; every later call returns that same
+    object, so the many queries one knowledge base serves select once.  An
+    empty knowledge base and an unknown mode raise on every call.
     """
+    selected = kb._selected.get(mode)
+    if selected is not None:
+        return selected
     if not kb.records:
         raise EmptyKnowledgeBaseError("knowledge base has no records")
     if mode == "best-classes":
-        return {n for n, rec in kb.records.items() if rec.priority <= 3}
-    if mode == "literal":
-        return {n for n, rec in kb.records.items() if rec.priority >= 3}
-    raise ValueError(f"unknown selection mode {mode!r}")
+        selected = frozenset([n for n, rec in kb.records.items() if rec.priority <= 3])
+    elif mode == "literal":
+        selected = frozenset([n for n, rec in kb.records.items() if rec.priority >= 3])
+    else:
+        raise ValueError(f"unknown selection mode {mode!r}")
+    kb._selected[mode] = selected
+    return selected
 
 
 def build_knowledge_base(topology: Topology,

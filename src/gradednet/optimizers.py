@@ -154,29 +154,57 @@ class _Rows:
         self.upto = [(2 << j) - 1 for j in range(m)]
 
 
+def _member_mask(n: int, allowed: frozenset) -> np.ndarray:
+    # The member mask over node ids 0..n-1, as numpy reads ``allowed``: no
+    # dtype cast, so a float id stays a float and fails to index.  The range
+    # check comes first.
+    inside = np.zeros(n, dtype=bool)
+    if allowed:
+        ids = np.array(list(allowed))
+        if not (0 <= ids.min() and ids.max() < n):
+            raise ValueError(f"allowed nodes must be in 0..{n - 1}")
+        inside[ids] = True
+    return inside
+
+
 class Subgraph:
     """Adjacency, in id order, restricted to the allowed candidate set (plus the source).
 
+    The ids are checked when the subgraph is built: one outside 0..n-1 is a
+    ValueError, checked first, and then one that is not an integer, a float
+    such as 2.0 included, is an IndexError.  Ids that are all Python ints
+    are checked in Python, with no numpy call; any other set (numpy ints,
+    say) is checked as numpy reads it into the member mask.
+
     The member mask over node ids is the subgraph's one private member
-    index.  ``neighbors(v)`` reads member ``v``'s CSR row of the topology's
-    edges, masked by it, on each call, in ascending id order, and gives
-    ``()`` for any other id.  The walks read the same rows as rank lists and
-    bit sets over the members' ranks, their one cache: every member's row is
-    built in one array pass over the edge arrays and the mask when the first
-    walk runs, into a list indexed by rank, and none of it refers back to
-    the subgraph.  A query that ends at the prune builds none of it.
+    index, built by the first ``neighbors()`` call or the first walk.
+    ``neighbors(v)`` reads member ``v``'s CSR row of the topology's edges,
+    masked by it, on each call, in ascending id order, and gives ``()`` for
+    any other id.  The walks read the same rows as rank lists and bit sets
+    over the members' ranks, their one cache: every member's row is built in
+    one array pass over the edge arrays and the mask when the first walk
+    runs, into a list indexed by rank, and none of it refers back to the
+    subgraph.  A query that ends at the prune builds neither the mask nor
+    the rows.
     """
 
     def __init__(self, topology: Topology, allowed: frozenset[int]):
         self.topology = topology
         self.allowed = allowed
-        self._inside = np.zeros(topology.n, dtype=bool)
-        if allowed:
-            # no dtype cast: a float id stays a float and fails to index
-            ids = np.array(list(allowed))
-            if not (0 <= ids.min() and ids.max() < topology.n):
+        # Ints are checked here: their sum is an int, where a float or a
+        # numpy scalar among them makes it something else.  Any other set,
+        # and one within {0, 1}, which numpy reads as a mask when it holds
+        # only bools, is checked by building the mask, which is then dropped.
+        if type(sum(allowed)) is int and not allowed <= {0, 1}:
+            ids = sorted(allowed)
+            if not (0 <= ids[0] and ids[-1] < topology.n):
                 raise ValueError(f"allowed nodes must be in 0..{topology.n - 1}")
-            self._inside[ids] = True
+        elif allowed:
+            _member_mask(topology.n, allowed)
+
+    @functools.cached_property
+    def _inside(self) -> np.ndarray:
+        return _member_mask(self.topology.n, self.allowed)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         if v not in self.allowed:
@@ -189,7 +217,7 @@ class Subgraph:
 
     @classmethod
     def from_topology(cls, topology: Topology, candidates: set[int], source: int) -> "Subgraph":
-        return cls(topology, frozenset(candidates) | frozenset((source,)))
+        return cls(topology, frozenset(candidates | {source}))
 
 
 def path_is_valid(path: PathNodes, subgraph: Subgraph, source: int, destination: int) -> bool:
@@ -394,7 +422,7 @@ class _Search:
     candidate gets its rank, once per candidate; it stops reading a rejected
     candidate at its first link below the threshold.  ``path_fitness`` is the
     validating reference that the tests and the benchmark score with.  Equal
-    endpoints are ``random_path``'s ValueError, at the first scout."""
+    endpoints are a ValueError raised by ``populate``, before any draw."""
 
     def __init__(self, subgraph: Subgraph, source: int, destination: int,
                  kb: KnowledgeBase, rng: random.Random, bw_threshold: float,
@@ -450,7 +478,17 @@ class _Search:
 
     def populate(self, size: int) -> list[tuple[PathNodes, float]]:
         """Up to ``size`` scouted paths with their rank; empty when the
-        destination is unreachable.  A non-empty population is cycle 0."""
+        destination is unreachable.  A non-empty population is cycle 0.
+
+        Equal endpoints are a ValueError.  When the source or the
+        destination is not a member, no scout could reach it, so none is
+        sent: the query ends at the prune with no draw, no observer event,
+        and neither the member mask nor the rows built."""
+        if self.source == self.destination:
+            raise ValueError("source and destination must differ")
+        allowed = self.subgraph.allowed
+        if self.source not in allowed or self.destination not in allowed:
+            return []
         members = []
         for _ in range(size):
             path = self.scout()

@@ -314,6 +314,70 @@ def test_select_empty_kb_raises():
         select_feasible(topo, _kb_with_priorities([1]), "bogus")
 
 
+def _select_by_records(kb, mode):
+    # the selection as a comprehension over the records, read afresh
+    keep = (lambda p: p <= 3) if mode == "best-classes" else (lambda p: p >= 3)
+    return {n for n, rec in kb.records.items() if keep(rec.priority)}
+
+
+def test_selection_is_stored_once_per_knowledge_base():
+    # The first selection under a mode is stored in the knowledge base and
+    # every later call returns that very object; each mode stores its own.
+    topo = generate_topology(40, 0.2, 5)
+    built = build_knowledge_base(topo, sample_link_states(len(topo.links),
+                                                          np.random.default_rng(5)),
+                                 GradingConfig(), np.random.default_rng(6))
+    hand = _kb_with_priorities([1, 2, 3, 4, 5, 6, 3, 1])
+    for kb in (built, hand):
+        for mode in ("best-classes", "literal"):
+            first = select_feasible(topo, kb, mode)
+            assert isinstance(first, frozenset)
+            assert first == _select_by_records(kb, mode)
+            assert all(select_feasible(topo, kb, mode) is first for _ in range(3))
+        assert (select_feasible(topo, kb, "best-classes")
+                is not select_feasible(topo, kb, "literal"))
+
+
+def test_knowledge_bases_never_share_a_selection():
+    topo = generate_topology(8, 0.5, 0)
+    a, b = _kb_with_priorities([1, 2, 3, 4]), _kb_with_priorities([1, 2, 3, 4])
+    first = select_feasible(topo, a)
+    second = select_feasible(topo, b)
+    assert first == second and first is not second
+    # a knowledge base built from another's records selects for itself
+    c = KnowledgeBase(records=dict(a.records))
+    assert select_feasible(topo, c) is not first
+    other = _kb_with_priorities([4, 5, 1])
+    assert select_feasible(topo, other) == {2}
+    assert select_feasible(topo, a) is first
+
+
+def test_stored_selection_takes_no_part_in_eq_or_repr():
+    kb, fresh = _kb_with_priorities([1, 4, 2]), _kb_with_priorities([1, 4, 2])
+    before = repr(kb)
+    select_feasible(generate_topology(3, 0.5, 0), kb, "literal")
+    assert kb == fresh
+    assert repr(kb) == before == repr(fresh)
+    assert "_selected" not in repr(kb)
+    with pytest.raises(TypeError):
+        KnowledgeBase(_selected={})
+
+
+def test_select_raises_on_every_call():
+    # nothing is stored for an empty knowledge base or an unknown mode
+    topo = generate_topology(3, 0.5, 0)
+    empty, kb = KnowledgeBase(), _kb_with_priorities([1, 5])
+    select_feasible(topo, kb, "best-classes")
+    for _ in range(2):
+        with pytest.raises(EmptyKnowledgeBaseError):
+            select_feasible(topo, empty, "best-classes")
+        with pytest.raises(EmptyKnowledgeBaseError):
+            select_feasible(topo, empty, "bogus")
+        with pytest.raises(ValueError, match="unknown selection mode"):
+            select_feasible(topo, kb, "bogus")
+    assert select_feasible(topo, kb, "literal") == {1}
+
+
 # ---------------------------------------------------------------- knowledge base
 
 def test_build_kb_deterministic():

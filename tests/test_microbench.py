@@ -159,6 +159,8 @@ def test_bench_prune_unroutable(benchmark, topology_1024):
     # One query whose destination is graded out, so it ends at the prune:
     # select, the quadrant (535 graded nodes) and its Subgraph, then a GA
     # search that finds no route.  At n=1024 most queries without a route end so.
+    # Rounds after the first read the selection stored in the knowledge base,
+    # as route-refresh's queries do.
     topology = topology_1024
     args, _ = _grading_inputs(topology)
     kb = build_knowledge_base(*args)

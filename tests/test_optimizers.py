@@ -372,7 +372,13 @@ def test_searches_reject_equal_endpoints():
                 run(sub, v, v, cfg, kb, rng, observer=lambda *event: events.append(event))
             assert rng.getstate() == state
     assert events == []
-    assert "_rows" not in vars(sub)
+    assert "_inside" not in vars(sub) and "_rows" not in vars(sub)
+    # also when an endpoint is not a member, where no scout would be sent
+    for run, cfg in ((abc_search, AbcConfig()), (ga_search, GaConfig())):
+        with pytest.raises(ValueError, match="must differ"):
+            run(Subgraph(topo, frozenset({0, 1})), 2, 2, cfg, kb, random.Random(0),
+                observer=lambda *event: events.append(event))
+    assert events == []
 
 
 def _complete_subgraph(m):
@@ -580,10 +586,18 @@ def test_subgraph_rejects_unknown_nodes():
         with pytest.raises(ValueError, match="allowed nodes must be in"):
             Subgraph(topo, frozenset(allowed))
     # a float id is never cast to a node: 1.5 does not become 1
-    for allowed in ({0, 1.5}, {2.0}):
+    for allowed in ({0, 1.5}, {2.0}, {np.float64(2.0)}):
         with pytest.raises(IndexError):
             Subgraph(topo, frozenset(allowed))
+    # the range check comes before the integer check
+    for allowed in ({-1, 1.5}, {20, 1.5}):
+        with pytest.raises(ValueError, match="allowed nodes must be in"):
+            Subgraph(topo, frozenset(allowed))
     assert Subgraph(topo, frozenset()).neighbors(0) == ()
+    # a numpy int is a node id
+    four = _topology([(0.1, 0.1), (0.2, 0.2), (0.8, 0.8), (0.9, 0.9)], [(0, 1), (2, 3)])
+    sub = Subgraph(four, frozenset({np.int64(3), 2}))
+    assert sub.neighbors(2) == (3,) and sub.neighbors(3) == (2,) and sub.neighbors(0) == ()
 
 
 def test_walked_subgraph_is_freed_by_reference_counting():
@@ -763,8 +777,37 @@ def test_searches_disconnected_destination():
             assert result.fitness_trace == (0.0,) and events == []
             if 3 not in sub.allowed:
                 assert rng.getstate() == state
-                # the query ends at the prune: no rows were built
-                assert "_rows" not in vars(sub)
+                # the query ends at the prune: no mask and no rows were built
+                assert "_inside" not in vars(sub) and "_rows" not in vars(sub)
+
+
+@pytest.mark.parametrize("allowed, source, destination", [
+    pytest.param({1, 2}, 0, 3, id="destination_graded_out"),
+    pytest.param({1, 2, 3}, 0, 3, id="source_not_a_member"),
+    pytest.param(set(), 4, 0, id="no_members"),
+])
+def test_searches_end_at_the_prune_without_drawing(allowed, source, destination):
+    # With an endpoint outside the subgraph no walk can reach the
+    # destination, so neither search sends a scout: no draw, no observer
+    # event, no member mask and no rows, and the result is the one a search
+    # whose every scout failed would give.
+    topo = _topology([(0.1, 0.1), (0.2, 0.2), (0.3, 0.3), (0.4, 0.4), (0.5, 0.5)],
+                     [(0, 1), (1, 2), (2, 3), (3, 4)])
+    kb = _kb_for(topo)
+    unfound = optimizers.RouteResult(None, Fitness(0.0), 0, 0, (0.0,), None)
+    for run, cfg in ((abc_search, AbcConfig(colony_size=5, max_cycles=3)),
+                     (ga_search, GaConfig(population_size=4, generations=3))):
+        sub = Subgraph(topo, frozenset(allowed))
+        rng, events = random.Random(11), []
+        state = rng.getstate()
+        with mock.patch.object(optimizers, "random_path", wraps=random_path) as scout:
+            result = run(sub, source, destination, cfg, kb, rng, bw_threshold=1.0,
+                         observer=lambda *event: events.append(event))
+        assert scout.call_count == 0
+        assert result == unfound
+        assert rng.getstate() == state
+        assert events == []
+        assert "_inside" not in vars(sub) and "_rows" not in vars(sub)
 
 
 def test_search_determinism():
