@@ -30,10 +30,6 @@ SELECTION_MODES = ("best-classes", "literal")
 POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
 
 
-class SaturatedChannelError(ValueError):
-    """Raised when a channel's service capacity cannot keep up with its flow rate."""
-
-
 class EmptyKnowledgeBaseError(RuntimeError):
     """Raised when node selection runs against an unpopulated knowledge base."""
 
@@ -128,44 +124,9 @@ def level1_priority(lifetime, density, congested, resource_available, delayed, *
     return np.select([np.logical_not(check) for check in passed], (6, 5, 4, 3, 2), 1)
 
 
-@dataclass
-class DelayInputs:
-    """Per-node queueing view: one channel per incident link.
-
-    lam:        flow rate on each channel (msgs/sec)
-    gamma_total: total external traffic through the node
-    mu:         1 / mean message length
-    capacities: per-channel capacities, same units as lam / mu
-    """
-
-    lam: tuple[float, ...]
-    gamma_total: float
-    mu: float
-    capacities: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        self.lam = tuple(float(v) for v in self.lam)
-        self.capacities = tuple(float(v) for v in self.capacities)
-        if len(self.lam) < 1:
-            raise ValueError("need at least one channel")
-        if len(self.lam) != len(self.capacities):
-            raise ValueError("lam and capacities must have matching lengths")
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
-        if any(c <= 0 for c in self.capacities):
-            raise ValueError("channel capacities must be positive")
-        if any(v < 0 for v in self.lam):
-            raise ValueError("flow rates must be nonnegative")
-
-
 def _sums(owner: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     """Sum of ``values`` per owner in 0..n-1, each added left to right in input order."""
     return np.bincount(owner, weights=values, minlength=n).astype(float, copy=False)
-
-
-def _saturated(lam: np.ndarray, capacities: np.ndarray, mu: float) -> np.ndarray:
-    """Whether each channel is saturated: its flow reaches its service rate, mu*C <= lambda."""
-    return mu * capacities <= lam
 
 
 def _node_delays(lam: np.ndarray, capacities: np.ndarray, mu: float,
@@ -176,8 +137,8 @@ def _node_delays(lam: np.ndarray, capacities: np.ndarray, mu: float,
     to node ``owner[i]``; ``gamma_total`` holds each node's total traffic.
     A node's delay is the sum over its channels, left to right, of
     (lam_i / gamma) * 1 / (mu*C_i - lam_i).  It is inf when one of its
-    channels is saturated, or when the sum overflows a double, and 0.0 when
-    all its flows are 0.
+    channels is saturated (mu*C_i <= lam_i), or when the sum overflows a
+    double, and 0.0 when all its flows are 0.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # (lam / gamma) * (1.0 / (mu*C - lam)), in place: the same operations in the same order
@@ -189,28 +150,8 @@ def _node_delays(lam: np.ndarray, capacities: np.ndarray, mu: float,
     delay = _sums(owner, terms, n)
     del terms, slack  # freed before the channel counts below make their own arrays
     delay[_sums(owner, lam != 0.0, n) == 0] = 0.0
-    delay[_sums(owner, _saturated(lam, capacities, mu), n) > 0] = math.inf
+    delay[_sums(owner, mu * capacities <= lam, n) > 0] = math.inf
     return delay
-
-
-def average_delay(d: DelayInputs) -> float:
-    """Mean queueing delay across a node's channels.
-
-    Sum over channels of (lam_i / gamma) * 1 / (mu*C_i - lam_i), computed by
-    ``_node_delays``, the code that grades every node: 0.0 when all flows are
-    0.  Raises SaturatedChannelError when a channel's flow reaches its
-    service capacity (mu*C_i <= lam_i).  A delay that overflows a double on
-    unsaturated channels is ``math.inf``.
-    """
-    if d.gamma_total <= 0 and any(d.lam):
-        raise ValueError("gamma_total must be positive when flows are present")
-    lam, capacities = np.array(d.lam), np.array(d.capacities)
-    if _saturated(lam, capacities, d.mu).any():
-        channels = "; ".join(f"mu*C = {d.mu * c_i}, lambda = {lam_i}"
-                             for lam_i, c_i in zip(d.lam, d.capacities))
-        raise SaturatedChannelError(f"unbounded delay, a channel is saturated: {channels}")
-    owner = np.zeros(len(d.lam), dtype=np.intp)
-    return float(_node_delays(lam, capacities, d.mu, np.array([d.gamma_total]), owner, 1)[0])
 
 
 def select_feasible(topology: Topology, kb: KnowledgeBase,

@@ -185,7 +185,10 @@ class Subgraph:
     one array pass over the edge arrays and the mask when the first walk
     runs, into a list indexed by rank, and none of it refers back to the
     subgraph.  A query that ends at the prune builds neither the mask nor
-    the rows.
+    the rows.  The mask stays beside the rows because both ways measured to
+    drop it were slower: serving ``neighbors`` from the rows builds every
+    row for callers that never walk, and filtering each CSR row through
+    ``allowed`` doubles the cost of ``neighbors``.
     """
 
     def __init__(self, topology: Topology, allowed: frozenset[int]):
@@ -230,20 +233,6 @@ def path_is_valid(path: PathNodes, subgraph: Subgraph, source: int, destination:
     return all(v in neighbors(u) for u, v in zip(path, path[1:]))
 
 
-def _randbelow(getrandbits: Callable[[int], int], n: int) -> int:
-    # A uniform int in [0, n), n > 0, by rejection over n.bit_length() bits,
-    # as CPython's Random._randbelow_with_getrandbits does (3.10-3.13).  With
-    # the getrandbits of a random.Random (what stream_py_rng returns), or of a
-    # subclass that keeps its getrandbits, this matches randrange(n): the same
-    # int and the same generator state after.  A subclass that overrides
-    # random() alone makes randrange use another rule.
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
-
 def _walk(rows: _Rows, prefix: PathNodes, destination: int,
           getrandbits: Callable[[int], int]) -> PathNodes | None:
     # Extend ``prefix``, which must not hold ``destination``, by one uniform
@@ -253,14 +242,17 @@ def _walk(rows: _Rows, prefix: PathNodes, destination: int,
     # prefix of the path they change.  The hot loop of both searches runs on
     # member ranks, reading each step's row from ``table``, a plain list, by
     # the current rank: ``visited`` is a bit set over them, ``seen`` the row's
-    # visited neighbors, and the pick is _randbelow inlined over the count
-    # of the unvisited ones, then ``ranks[j]`` for the least j with exactly
-    # r unvisited ranks before it.  From j = r, each pass sets j to r plus
-    # the visited ranks up to ranks[j]; j never decreases and never passes
-    # that least j, so the loop runs once per visited neighbor that comes
-    # before the pick, at most.  Ranks keep id order, as rows do, so
-    # ranks[j] is the neighbor randrange(len(choices)) would pick from the
-    # unvisited ones listed in neighbor order.
+    # visited neighbors.  The pick draws r below the count of the unvisited
+    # ones by the rule CPython 3.10-3.13's randrange follows on a
+    # random.Random, inlined: getrandbits of the count's bit length until
+    # one is below the count.  So a walk makes randrange's draws, and then
+    # takes ``ranks[j]`` for the least j with exactly r unvisited ranks
+    # before it.  From j = r, each pass sets j to r plus the visited ranks up
+    # to ranks[j]; j never decreases and never passes that least j, so the
+    # loop runs once per visited neighbor that comes before the pick, at
+    # most.  Ranks keep id order, as rows do, so ranks[j] is the neighbor
+    # randrange(len(choices)) would pick from the unvisited ones listed in
+    # neighbor order.
     members, rank, outside, upto = rows.members, rows.rank, rows.outside, rows.upto
     table = rows.table
     visited = 0
@@ -307,15 +299,15 @@ def random_path(subgraph: Subgraph, source: int, destination: int,
     return None
 
 
-def _perturb(path: PathNodes, rows: _Rows, getrandbits: Callable[[int], int]) -> PathNodes:
+def _perturb(path: PathNodes, rows: _Rows, rng: random.Random) -> PathNodes:
     # The bees' move: keep a random prefix short of the destination, regrow
     # the rest avoiding it; ``path`` unchanged after REGROW_RETRIES dead ends.
     # ``path`` must be a simple path of two or more nodes, as every food
     # source is, and nothing checks it: a shorter one has no cut point, and a
     # cut of one that repeats a node could keep its destination.
     for _ in range(REGROW_RETRIES):
-        cut = _randbelow(getrandbits, len(path) - 1)
-        regrown = _walk(rows, path[:cut + 1], path[-1], getrandbits)
+        cut = rng.randrange(len(path) - 1)
+        regrown = _walk(rows, path[:cut + 1], path[-1], rng.getrandbits)
         if regrown is not None:
             return regrown
     return path
@@ -545,12 +537,12 @@ def abc_search(subgraph: Subgraph, source: int, destination: int,
     if not sources:
         return search.result()
     # bound only now, so a query that ends at the prune builds no rows
-    rows, getrandbits = subgraph._rows, rng.getrandbits
+    rows = subgraph._rows
 
     def improve(src: FoodSource, kind: str) -> bool:
         # The bees' greedy move: perturb the source and keep the candidate if
         # it ranks higher, else count a trial.  True when it was kept.
-        candidate = _perturb(src.path, rows, getrandbits)
+        candidate = _perturb(src.path, rows, rng)
         value = search.step(kind, candidate, (src.path, src.value))
         if value > src.value:
             src.path, src.value, src.trials = candidate, value, 0

@@ -5,6 +5,7 @@ report lines.  Shared expensive runs (the trial sweeps) live in module-scoped
 fixtures so criteria that examine the same data don't recompute it.
 """
 
+import math
 import random
 import statistics
 import time
@@ -15,12 +16,7 @@ import pytest
 from gradednet.bench import prepare_trial, run_trial, search, trial_seed
 from gradednet.cli import main as cli_main
 from gradednet.config import RunConfig
-from gradednet.grading import (
-    DelayInputs,
-    SaturatedChannelError,
-    average_delay,
-    build_knowledge_base,
-)
+from gradednet.grading import GradingConfig, build_knowledge_base
 from gradednet.optimizers import (
     AbcConfig,
     GaConfig,
@@ -29,7 +25,8 @@ from gradednet.optimizers import (
     ga_search,
     path_is_valid,
 )
-from gradednet.topology import generate_topology, quadrant_candidates
+from gradednet.topology import (Link, Node, QosInputs, Topology, generate_topology,
+                                quadrant_candidates)
 from gradednet.traffic import LinkState, link_load_at, sample_link_states
 from oracles import (
     bfs_hops,
@@ -99,22 +96,29 @@ def test_criterion_01_ode_fidelity():
     assert elapsed < 5.0
 
 
+def _graded_delays(links, t0):
+    """The delay grading records for each node of hand-built links, given
+    each link's flows of 1 Mbps, at the default grading config."""
+    n = 1 + max(max(a, b) for a, b, _ in links)
+    nodes = [Node(v, (v + 0.5) / n, 0.5, QosInputs(network_lifetime=90.0)) for v in range(n)]
+    topology = Topology(seed=0, nodes=nodes, links=[Link(a, b, c) for a, b, c in links])
+    kb = build_knowledge_base(topology, LinkState(np.array(t0)), GradingConfig(),
+                              np.random.default_rng(0))
+    return [kb.records[v].delay_s for v in range(n)]
+
+
 def test_criterion_02_delay_formula():
-    """Hand-evaluated delay cases to 1e-12; saturation raises."""
-    one = average_delay(DelayInputs(lam=(1.0,), gamma_total=1.0, mu=1.0,
-                                    capacities=(2.0,)))
-    two = average_delay(DelayInputs(lam=(1.0, 1.0), gamma_total=2.0, mu=1.0,
-                                    capacities=(2.0, 3.0)))
-    ok = abs(one - 1.0) < 1e-12 and abs(two - 0.75) < 1e-12
-    raised = False
-    try:
-        average_delay(DelayInputs(lam=(2.0,), gamma_total=2.0, mu=1.0,
-                                  capacities=(2.0,)))
-    except SaturatedChannelError:
-        raised = True
-    _report(2, "delay formula", ok and raised,
-            f"T1={one!r}, T2={two!r}, saturated raises={raised}")
-    assert ok and raised
+    """Hand-evaluated delays that grading records, to 1e-12; saturation is inf."""
+    # one flow on a 2 Mbps link: T1 = 1 / (2 - 1)
+    one = _graded_delays([(0, 1, 2.0)], [1.0])[0]
+    # a star's centre with one flow on each of a 2 and a 3 Mbps link:
+    # T2 = (1/2) / (2 - 1) + (1/2) / (3 - 1)
+    two = _graded_delays([(0, 1, 2.0), (0, 2, 3.0)], [1.0, 1.0])[0]
+    # two flows fill the 2 Mbps link
+    saturated = _graded_delays([(0, 1, 2.0)], [2.0])[0]
+    ok = abs(one - 1.0) < 1e-12 and abs(two - 0.75) < 1e-12 and saturated == math.inf
+    _report(2, "delay formula", ok, f"T1={one!r}, T2={two!r}, saturated={saturated!r}")
+    assert ok
 
 
 def test_criterion_03_path_validity(validity_sweep):

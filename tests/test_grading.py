@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -7,16 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradednet.grading import (
-    DelayInputs,
     EmptyKnowledgeBaseError,
     GradeRecord,
     GradingConfig,
     KnowledgeBase,
-    SaturatedChannelError,
-    average_delay,
+    _node_delays,
     build_knowledge_base,
     grade_dump,
     level1_priority,
+    save_grade_dump,
     select_feasible,
 )
 from gradednet.topology import Link, Node, QosInputs, Topology, generate_topology
@@ -68,40 +68,43 @@ def test_priority_batch_gives_every_class():
 
 # ---------------------------------------------------------------- delay
 
+def _delay(lam, gamma_total, mu, capacities):
+    """The delay grading records for one node whose channels carry ``lam``."""
+    owner = np.zeros(len(lam), dtype=np.intp)
+    return float(_node_delays(np.array(lam, dtype=float), np.array(capacities, dtype=float),
+                              mu, np.array([gamma_total]), owner, 1)[0])
+
+
 def test_delay_zero_flows():
-    d = DelayInputs(lam=(0.0, 0.0), gamma_total=1.0, mu=1.0, capacities=(2.0, 3.0))
-    assert average_delay(d) == 0.0
+    assert _delay((0.0, 0.0), 1.0, 1.0, (2.0, 3.0)) == 0.0
 
 
 def test_delay_single_channel_reference():
-    d = DelayInputs(lam=(1.0,), gamma_total=1.0, mu=1.0, capacities=(2.0,))
-    assert average_delay(d) == pytest.approx(1.0, abs=1e-12)
+    assert _delay((1.0,), 1.0, 1.0, (2.0,)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_delay_two_channel_reference():
-    d = DelayInputs(lam=(1.0, 1.0), gamma_total=2.0, mu=1.0, capacities=(2.0, 3.0))
-    assert average_delay(d) == pytest.approx(0.75, abs=1e-12)
+    assert _delay((1.0, 1.0), 2.0, 1.0, (2.0, 3.0)) == pytest.approx(0.75, abs=1e-12)
 
 
-def test_delay_saturated_channel_raises():
-    d = DelayInputs(lam=(2.0,), gamma_total=2.0, mu=1.0, capacities=(2.0,))
-    with pytest.raises(SaturatedChannelError):
-        average_delay(d)
+def test_delay_saturation_is_inf():
+    # a flow that reaches its channel's service rate, mu*C <= lambda
+    assert _delay((2.0,), 2.0, 1.0, (2.0,)) == math.inf
+    assert _delay((1.0, 3.0), 4.0, 1.0, (2.0, 2.0)) == math.inf
 
 
 def test_delay_overflow_is_inf_not_saturation():
-    # subnormal capacities: mu*C > lambda, but 1 / (mu*C - lambda) overflows
-    d = DelayInputs(lam=(1e-310,), gamma_total=1e-310, mu=1.0, capacities=(2e-310,))
+    # subnormal capacities: mu*C > lambda, but 1 / (mu*C - lambda) overflows,
+    # with no numpy warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert average_delay(d) == math.inf
+        assert _delay((1e-310,), 1e-310, 1.0, (2e-310,)) == math.inf
 
 
 def test_delay_increases_with_flow():
     previous = 0.0
     for lam in (0.5, 1.0, 1.5, 1.9):
-        d = DelayInputs(lam=(lam,), gamma_total=lam, mu=1.0, capacities=(2.0,))
-        value = average_delay(d)
+        value = _delay((lam,), lam, 1.0, (2.0,))
         assert value > previous
         previous = value
 
@@ -117,32 +120,24 @@ def _delay_inputs(draw):
     lam = [draw(st.sampled_from((0.0, mu * c)) | st.floats(0.0, 2 * mu * c))
            for c in capacities]
     gamma_total = draw(st.just(sum(lam)) | _RATE)
-    return DelayInputs(tuple(lam), gamma_total, mu, tuple(capacities))
+    return lam, gamma_total, mu, capacities
 
 
 @settings(max_examples=300, deadline=None)
 @given(_delay_inputs())
-def test_delay_matches_per_channel_rule(d):
+def test_delay_matches_per_channel_rule(inputs):
     # the oracle states the rule one channel at a time, in plain Python
-    if any(d.mu * c <= lam for lam, c in zip(d.lam, d.capacities)):
-        with pytest.raises(SaturatedChannelError):
-            average_delay(d)
-    elif not any(d.lam):
-        assert average_delay(d) == 0.0
+    lam, gamma_total, mu, capacities = inputs
+    value = _delay(lam, gamma_total, mu, capacities)
+    if any(mu * c <= flow for flow, c in zip(lam, capacities)):
+        assert value == math.inf
+    elif not any(lam):
+        assert value == 0.0
     else:
         expected = 0.0
-        for lam, c in zip(d.lam, d.capacities):
-            expected += (lam / d.gamma_total) * (1.0 / (d.mu * c - lam))
-        assert math.isclose(average_delay(d), expected, rel_tol=1e-12)
-
-
-def test_delay_inputs_validation():
-    with pytest.raises(ValueError):
-        DelayInputs(lam=(), gamma_total=1.0, mu=1.0, capacities=())
-    with pytest.raises(ValueError):
-        DelayInputs(lam=(1.0,), gamma_total=1.0, mu=1.0, capacities=(1.0, 2.0))
-    with pytest.raises(ValueError):
-        DelayInputs(lam=(1.0,), gamma_total=1.0, mu=0.0, capacities=(1.0,))
+        for flow, c in zip(lam, capacities):
+            expected += (flow / gamma_total) * (1.0 / (mu * c - flow))
+        assert math.isclose(value, expected, rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------- level 2 grade
@@ -432,3 +427,20 @@ def test_grade_dump_schema():
     assert [row["id"] for row in rows] == sorted(row["id"] for row in rows)
     assert set(rows[0]) == {"id", "priority", "delay_s", "avail_bw_mbps", "grade", "mode"}
     assert all(row["mode"] == "best-classes" for row in rows)
+
+
+def test_grade_dump_writes_null_on_saturation(tmp_path):
+    # Links 0-1 and 2-3 of 2 Mbps carry 2 and 1 flows of 1 Mbps: the first
+    # is saturated, so grading records inf for nodes 0 and 1, which the dump
+    # writes as None and the saved JSON as null; nodes 2 and 3 wait 1.0 s.
+    nodes = [Node(i, 0.2 * i + 0.1, 0.5, _qos()) for i in range(4)]
+    topo = Topology(seed=0, nodes=nodes, links=[Link(0, 1, 2.0), Link(2, 3, 2.0)])
+    kb = build_knowledge_base(topo, LinkState(np.array([2.0, 1.0])), GradingConfig(),
+                              np.random.default_rng(0))
+    assert [kb.records[v].delay_s for v in range(4)] == [math.inf, math.inf, 1.0, 1.0]
+    delays = [row["delay_s"] for row in grade_dump(kb, "best-classes")]
+    assert delays == [None, None, 1.0, 1.0] and type(delays[2]) is float
+    path = tmp_path / "grades.json"
+    save_grade_dump(kb, "best-classes", path)
+    assert [row["delay_s"] for row in json.loads(path.read_text())] == delays
+    assert path.read_text().count('"delay_s": null') == 2

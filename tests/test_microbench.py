@@ -55,9 +55,9 @@ def trial():
 
 
 def _perturbation_chain(start, subgraph, rng):
-    paths, rows, getrandbits = [start], subgraph._rows, rng.getrandbits
+    paths, rows = [start], subgraph._rows
     for _ in range(STEPS):
-        paths.append(_perturb(paths[-1], rows, getrandbits))
+        paths.append(_perturb(paths[-1], rows, rng))
     return paths
 
 

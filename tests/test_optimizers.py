@@ -35,7 +35,6 @@ from gradednet.optimizers import (
     _excise_loops,
     _perturb,
     _Search,
-    _randbelow,
     _spin,
     _wheel,
     abc_search,
@@ -116,7 +115,7 @@ def test_perturb_single_hop():
     sub = Subgraph.from_topology(topo, {1, 2}, 0)
     base = (0, 1, 2)
     for seed in range(10):
-        regrown = _perturb(base, sub._rows, random.Random(seed).getrandbits)
+        regrown = _perturb(base, sub._rows, random.Random(seed))
         assert path_is_valid(regrown, sub, 0, 2)
         assert regrown == base  # unique path in a line graph
 
@@ -130,7 +129,7 @@ def test_perturb_property_scan():
         if path is None:
             continue
         for _ in range(25):
-            path = _perturb(path, sub._rows, rng.getrandbits)
+            path = _perturb(path, sub._rows, rng)
             assert path_is_valid(path, sub, 0, 15)
             count += 1
     assert count > 400
@@ -273,17 +272,6 @@ def test_path_fitness_rejects_malformed(case, data):
             path_fitness(path + (data.draw(st.sampled_from(strangers)),), topo, kb, threshold)
 
 
-def test_randbelow_draws_as_randrange():
-    # Every n up to 1100, and either side of each power of two up to 2**20,
-    # where the number of bits drawn changes.
-    sizes = [*range(1, 1101), *(2 ** k + d for k in range(1, 21) for d in (-1, 0, 1))]
-    for n in sizes:
-        rng, oracle = random.Random(n), random.Random(n)
-        for _ in range(3):
-            assert _randbelow(rng.getrandbits, n) == oracle.randrange(n)
-        assert rng.getstate() == oracle.getstate()
-
-
 @st.composite
 def _sparse_subgraphs(draw):
     # A seeded topology on up to 80 nodes with random link bandwidths, and a
@@ -339,7 +327,7 @@ def test_walks_draw_as_randrange(case, seed, data):
     assert rng.getstate() == oracle.getstate()
     path = expected = start
     for _ in range(5):
-        path = _perturb(path, sub._rows, rng.getrandbits)
+        path = _perturb(path, sub._rows, rng)
         expected = neighbor_path_by_randrange(expected, sub, oracle)
         assert path == expected
         assert rng.getstate() == oracle.getstate()
@@ -398,7 +386,7 @@ def test_walks_draw_as_randrange_on_complete_subgraphs(m):
     sub = _complete_subgraph(m)
     for seed in range(3):
         rng, oracle = random.Random(seed), random.Random(seed)
-        assert (_perturb((0, m), sub._rows, rng.getrandbits)
+        assert (_perturb((0, m), sub._rows, rng)
                 == neighbor_path_by_randrange((0, m), sub, oracle))
         assert rng.getstate() == oracle.getstate()
         path = random_path(sub, 0, m - 1, rng)
@@ -406,7 +394,7 @@ def test_walks_draw_as_randrange_on_complete_subgraphs(m):
         assert rng.getstate() == oracle.getstate()
         expected = path
         for _ in range(20):
-            path = _perturb(path, sub._rows, rng.getrandbits)
+            path = _perturb(path, sub._rows, rng)
             expected = neighbor_path_by_randrange(expected, sub, oracle)
             assert path == expected
             assert rng.getstate() == oracle.getstate()
@@ -427,7 +415,7 @@ def test_walk_picks_past_many_visited_neighbors(m):
         assert (optimizers._walk(sub._rows, prefix, destination, rng.getrandbits)
                 == extend_by_randrange(sub, prefix, destination, oracle))
         assert rng.getstate() == oracle.getstate()
-        assert (_perturb(order, sub._rows, rng.getrandbits)
+        assert (_perturb(order, sub._rows, rng)
                 == neighbor_path_by_randrange(order, sub, oracle))
         assert rng.getstate() == oracle.getstate()
 
@@ -601,9 +589,10 @@ def test_subgraph_rejects_unknown_nodes():
 
 
 def test_walked_subgraph_is_freed_by_reference_counting():
-    # The walks' rows hold the topology's edge arrays and the member mask,
-    # never the subgraph, so a subgraph whose walks have run is freed when
-    # its last reference goes, without the cyclic garbage collector.
+    # The walks' rows hold only lists, a dict and an int of their own
+    # (``members``, ``rank``, ``outside``, ``upto`` and ``table``), never the
+    # subgraph, so a subgraph whose walks have run is freed when its last
+    # reference goes, without the cyclic garbage collector.
     topo, kb, sub = _random_setup(5)
     alive = weakref.ref(sub)
     gc.disable()
