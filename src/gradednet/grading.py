@@ -129,28 +129,27 @@ def _sums(owner: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(owner, weights=values, minlength=n).astype(float, copy=False)
 
 
-def _node_delays(lam: np.ndarray, capacities: np.ndarray, mu: float,
-                 gamma_total: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
+def _node_delays(lam: np.ndarray, capacities: np.ndarray, gamma_total: np.ndarray,
+                 owner: np.ndarray, n: int) -> np.ndarray:
     """Mean queueing delay of each of ``n`` nodes over its channels.
 
-    Channel i carries ``lam[i]`` with capacity ``capacities[i]`` and belongs
-    to node ``owner[i]``; ``gamma_total`` holds each node's total traffic.
-    A node's delay is the sum over its channels, left to right, of
-    (lam_i / gamma) * 1 / (mu*C_i - lam_i).  It is inf when one of its
-    channels is saturated (mu*C_i <= lam_i), or when the sum overflows a
+    Channel i carries ``lam[i]`` with capacity ``capacities[i]``, in flow
+    units, and belongs to node ``owner[i]``; ``gamma_total`` holds each
+    node's total traffic.  A node's delay is the sum over its channels, left
+    to right, of (lam_i / gamma) * 1 / (C_i - lam_i).  It is inf when one of
+    its channels is saturated (C_i <= lam_i), or when the sum overflows a
     double, and 0.0 when all its flows are 0.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # (lam / gamma) * (1.0 / (mu*C - lam)), in place: the same operations in the same order
+        # (lam / gamma) * (1.0 / (C - lam)), in place: the same operations in the same order
         terms = lam / gamma_total[owner]
-        slack = mu * capacities
-        slack -= lam
+        slack = capacities - lam
         np.divide(1.0, slack, out=slack)
         terms *= slack
     delay = _sums(owner, terms, n)
     del terms, slack  # freed before the channel counts below make their own arrays
     delay[_sums(owner, lam != 0.0, n) == 0] = 0.0
-    delay[_sums(owner, mu * capacities <= lam, n) > 0] = math.inf
+    delay[_sums(owner, capacities <= lam, n) > 0] = math.inf
     return delay
 
 
@@ -238,7 +237,7 @@ def _grade_columns(edges: EdgeArrays, link_states: LinkState, config: GradingCon
     lam = flows[link]
     # A node whose flows are all 0 has gamma_total 0; _node_delays gives it 0.0.
     gamma_total = _sums(node, lam, n)
-    delay = _node_delays(lam, channels[link], 1.0, gamma_total, node, n)
+    delay = _node_delays(lam, channels[link], gamma_total, node, n)
     min_channel = np.full(n, math.inf)
     available = np.zeros(n)
     if linked.any():

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from operator import eq
 from pathlib import Path
 
 import numpy as np
@@ -141,17 +142,54 @@ class EdgeArrays:
         )
 
 
+class _LinkView(Sequence):
+    """A generated topology's links, read-only: ``Link(a, b, capacity)`` for
+    each edge key ``(a, b)``, built when read and not kept.
+
+    It reads as the list of those links would: ``len`` without building any,
+    negative indices, ``IndexError``, slices as lists, ``==`` against a list
+    or another view, element by element, and the list's ``repr``.
+    """
+
+    __slots__ = ("_keys", "_capacity_mbps")
+
+    def __init__(self, keys: list[tuple[int, int]], capacity_mbps: float) -> None:
+        self._keys, self._capacity_mbps = keys, capacity_mbps
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(_LinkView(self._keys[index], self._capacity_mbps))
+        return Link(*self._keys[index], self._capacity_mbps)
+
+    def __iter__(self):
+        capacity = self._capacity_mbps
+        return (Link(a, b, capacity) for a, b in self._keys)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, _LinkView)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 class Topology:
     """A generated network: nodes, undirected links, and their position (n x 2)
     and edge arrays, built once.
 
     ``==`` and ``repr`` are a dataclass's over ``seed``, ``nodes`` and
-    ``links``.  A generated topology builds its ``links`` from its edge arrays
-    the first time they are read, each ``a < b`` with the generator's capacity.
+    ``links``.  A topology built from a list of links keeps that list; a
+    generated one reads its ``links`` through a view over its edge keys, each
+    ``a < b`` with the generator's capacity, so no ``Link`` is kept.
     """
 
     seed: int
     nodes: list[Node]
+    links: Sequence[Link]
     positions: np.ndarray
     edges: EdgeArrays
 
@@ -167,8 +205,8 @@ class Topology:
                     capacity_mbps: float) -> "Topology":
         """The topology whose links ``(a[i], b[i])`` all have ``capacity_mbps``."""
         topology = cls.__new__(cls)
-        topology._capacity_mbps = capacity_mbps
         topology._build(seed, nodes, a, b, np.full(len(a), capacity_mbps))
+        topology.links = _LinkView(topology.edges.keys, capacity_mbps)
         return topology
 
     def _build(self, seed: int, nodes: list[Node], a: np.ndarray, b: np.ndarray,
@@ -185,10 +223,6 @@ class Topology:
             raise ValueError(f"node {int(np.argmin(inside))} position outside the unit square")
         self.positions = coords.astype(float)
         self.edges = EdgeArrays.of(self.n, a, b, capacity)
-
-    @cached_property
-    def links(self) -> list[Link]:
-        return [Link(a, b, self._capacity_mbps) for a, b in self.edges.keys]
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:

@@ -504,6 +504,27 @@ def test_grade_dump_pinned_at_n_1024(tmp_path, capsys):
     assert digest == PINNED_GRADE_1024
 
 
+# sha256 of topology.json and of stdout for `generate` run with `--out topo`,
+# recorded while a generated topology still built its list of links.  They
+# pin the links' order, orientation and capacity type as written.
+PINNED_GENERATE = {
+    (64, 9): ("edabaaf59178d1835336374493a165d44144809ad3a1dfcfb5e7e711e7b7996a",
+              "362294802ef26152162e911992d09dbe12d4f182693f34d2ed34d269cd66bcce"),
+    (1024, 11): ("0f2c9f185abe4ead3627ba8bdd541b953448390193b694af965ce8d54c9f68d3",
+                 "5af473d0f0b488fe5d993a0473b7458443eebb5ab70b2b4f91088de80193e699"),
+}
+
+
+@pytest.mark.parametrize("n, seed", PINNED_GENERATE, ids=["64", "1024"])
+def test_generate_output_pinned(tmp_path, capsys, monkeypatch, n, seed):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, _ = _run(capsys, "generate", "--n", str(n), "--seed", str(seed),
+                           "--out", "topo")
+    assert code == 0
+    assert (hashlib.sha256((tmp_path / "topo" / "topology.json").read_bytes()).hexdigest(),
+            hashlib.sha256(stdout.encode()).hexdigest()) == PINNED_GENERATE[n, seed]
+
+
 def _fast_config(tmp_path) -> str:
     path = tmp_path / "fast.json"
     if not path.exists():

@@ -71,8 +71,8 @@ def test_priority_batch_gives_every_class():
 def _delay(lam, gamma_total, mu, capacities):
     """The delay grading records for one node whose channels carry ``lam``."""
     owner = np.zeros(len(lam), dtype=np.intp)
-    return float(_node_delays(np.array(lam, dtype=float), np.array(capacities, dtype=float),
-                              mu, np.array([gamma_total]), owner, 1)[0])
+    return float(_node_delays(np.array(lam, dtype=float), np.array(capacities, dtype=float) * mu,
+                              np.array([gamma_total]), owner, 1)[0])
 
 
 def test_delay_zero_flows():

@@ -116,14 +116,72 @@ def test_generated_link_keys_share_one_int_per_node():
 
 
 def test_generated_links_keep_the_given_capacity(tmp_path):
-    # an int capacity, as an int max_bandwidth_mbps in a JSON config gives, is written as an int
+    # an int capacity, as an int max_bandwidth_mbps in a JSON config gives, is read and
+    # written as an int
     path = tmp_path / "topology.json"
     for seed in range(3):
         for capacity, written in ((30, "30"), (30.0, "30.0")):
-            save_topology(generate_topology(40, 0.05, seed, capacity_mbps=capacity), path)
+            topo = generate_topology(40, 0.05, seed, capacity_mbps=capacity)
+            assert {type(link.capacity_mbps) for link in (*topo.links, topo.links[-1],
+                                                          *topo.links[:2])} == {type(capacity)}
+            save_topology(topo, path)
             links = json.loads(path.read_text())["links"]
             assert {repr(link["capacity_mbps"]) for link in links} == {written}
         assert load_topology(path) == generate_topology(40, 0.05, seed)
+
+
+def test_generated_links_read_as_a_list():
+    topo = generate_topology(40, 0.1, 3)
+    links = list(topo.links)
+    m = len(links)
+    assert m == len(topo.links) == len(topo.edges.keys) > 3
+    assert [(link.a, link.b) for link in links] == topo.edges.keys
+    for i in (0, 1, m - 1, -1, -m):
+        assert topo.links[i] == links[i]
+    for i in (m, -m - 1):
+        with pytest.raises(IndexError):
+            topo.links[i]
+    for part in (slice(None), slice(1, 4), slice(-3, None), slice(None, None, -2), slice(m, None)):
+        assert type(topo.links[part]) is list
+        assert topo.links[part] == links[part]
+    with pytest.raises(TypeError):
+        topo.links["0"]
+    assert repr(topo.links) == repr(links)
+    assert topo.links.index(links[2]) == 2 and links[-1] in topo.links
+    with pytest.raises(TypeError):
+        topo.links[0] = links[0]
+
+
+def test_generated_links_compare_as_a_list():
+    topo = generate_topology(40, 0.1, 3)
+    built = Topology(topo.seed, topo.nodes, list(topo.links))
+    assert type(built.links) is list
+    for a, b in ((topo.links, list(topo.links)), (topo.links, built.links),
+                 (topo.links, generate_topology(40, 0.1, 3).links)):
+        assert a == b and b == a and not a != b and not b != a
+    for other in (generate_topology(40, 0.1, 4).links, list(topo.links)[:-1],
+                  list(topo.links) + [Link(0, 1, 30.0)], []):
+        assert topo.links != other and other != topo.links
+    assert topo.links != tuple(topo.links) and topo.links != 0
+    # the same pairs at another capacity differ
+    assert topo.links != generate_topology(40, 0.1, 3, capacity_mbps=31.0).links
+
+
+def test_reading_generated_links_keeps_no_link():
+    # counting and iterating the links of an n=1024 topology (about 84k) keeps
+    # none of them; a list of them held about 5 MiB
+    topo = generate_topology(1024, 0.2, 11)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert len(topo.links) == len(topo.edges.keys)
+        for _ in topo.links:
+            pass
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 64 * 1024
+    assert peak - before < 64 * 1024
 
 
 def test_generate_positions_in_unit_square():
