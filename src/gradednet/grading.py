@@ -13,6 +13,8 @@ level-1 priority (``select_feasible``).
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -53,9 +55,53 @@ class GradeRecord:
             raise ValueError("available bandwidth must be nonnegative")
 
 
+class LinkSnapshot(Mapping):
+    """The free bandwidth on each link, read-only: ``available[index[key]]``
+    for each edge key ``(a, b)``, ``a < b``.
+
+    ``index`` maps each key to its link position and ``available`` holds one
+    float per link in that order.  Knowledge bases graded on one topology
+    share its ``edges.index``, so each keeps only its float array.  The
+    snapshot reads as the dict of its links would: ``len`` without building
+    anything, iteration in link order, a KeyError for a non-link, ``==``
+    against any mapping and the dict's ``repr``; item assignment is a
+    TypeError.
+    """
+
+    __slots__ = ("index", "available")
+
+    def __init__(self, index: dict[tuple[int, int], int], available: array) -> None:
+        self.index, self.available = index, available
+
+    def __getitem__(self, key: tuple[int, int]) -> float:
+        return self.available[self.index[key]]
+
+    def __len__(self) -> int:
+        return len(self.available)
+
+    def __iter__(self):
+        return iter(self.index)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+    def available_on(self, a: int, b: int) -> float:
+        """The free bandwidth on the link between ``a`` and ``b``, either way
+        round; a ValueError naming both when there is none.  This is the
+        link-key rule every hop lookup follows."""
+        try:
+            return self.available[self.index[(a, b) if a < b else (b, a)]]
+        except KeyError:
+            raise ValueError(f"no link between {a} and {b} in knowledge base") from None
+
+
 @dataclass
 class KnowledgeBase:
     """Per-node grade records plus the per-link bandwidth snapshot they were built from.
+
+    ``link_available_mbps`` is always a ``LinkSnapshot``: any other mapping
+    given for it is copied into one, in its own order, when the knowledge
+    base is built.
 
     A knowledge base is not changed after its first selection:
     ``select_feasible`` stores the nodes it selects under each mode and
@@ -64,16 +110,19 @@ class KnowledgeBase:
     """
 
     records: dict[int, GradeRecord] = field(default_factory=dict)
-    link_available_mbps: dict[tuple[int, int], float] = field(default_factory=dict)
+    link_available_mbps: Mapping[tuple[int, int], float] = field(default_factory=dict)
     _selected: dict[str, frozenset[int]] = field(default_factory=dict, init=False,
                                                  compare=False, repr=False)
 
+    def __post_init__(self) -> None:
+        links = self.link_available_mbps
+        if not isinstance(links, LinkSnapshot):
+            self.link_available_mbps = LinkSnapshot(dict(zip(links, range(len(links)))),
+                                                    array("d", links.values()))
+
     def available_on(self, a: int, b: int) -> float:
-        key = (a, b) if a < b else (b, a)
-        try:
-            return self.link_available_mbps[key]
-        except KeyError:
-            raise ValueError(f"no link between {a} and {b} in knowledge base") from None
+        """``link_available_mbps.available_on(a, b)``."""
+        return self.link_available_mbps.available_on(a, b)
 
 
 @dataclass
@@ -194,7 +243,9 @@ def build_knowledge_base(topology: Topology,
     knowledge base.
 
     Everything but the arrival draws is computed on ``topology.edges``; a
-    node's sums run over its links in neighbor order, left to right.
+    node's sums run over its links in neighbor order, left to right.  The
+    link snapshot is one float array, a copy of the free bandwidths' bytes,
+    read through the topology's ``edges.index``.
     """
     edges = topology.edges
     free, priority, delay, available, grade = _grade_columns(edges, link_states, config, rng)
@@ -202,8 +253,10 @@ def build_knowledge_base(topology: Topology,
     records = {v: GradeRecord(node=v, priority=p, delay_s=d, available_bw_mbps=a, grade=g)
                for v, p, d, a, g in zip(range(topology.n), priority.tolist(), delay.tolist(),
                                         available.tolist(), grade.tolist())}
+    link_free = array("d")
+    link_free.frombytes(memoryview(np.ascontiguousarray(free, dtype=float)).cast("B"))
     return KnowledgeBase(records=records,
-                         link_available_mbps=dict(zip(edges.keys, free.tolist())))
+                         link_available_mbps=LinkSnapshot(edges.index, link_free))
 
 
 def _grade_columns(edges: EdgeArrays, link_states: LinkState, config: GradingConfig,

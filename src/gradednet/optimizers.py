@@ -319,8 +319,9 @@ def path_fitness(path: PathNodes, topology: Topology, kb: KnowledgeBase,
 
     A path is rejected when any of its links offers less than
     ``bw_threshold`` Mbps; rejected paths do not participate in routing.
-    Each hop is one lookup in the knowledge base's per-link snapshot, which
-    holds exactly the topology's links; a hop missing from it is not a link.
+    Each hop is read through the knowledge base's link snapshot's one
+    lookup, ``LinkSnapshot.available_on``, which holds exactly the
+    topology's links and raises a ValueError naming a hop that is not one.
 
     This is the validating reference that the tests and the benchmark score
     with: it checks that the path is simple and reads every hop.  The
@@ -329,12 +330,8 @@ def path_fitness(path: PathNodes, topology: Topology, kb: KnowledgeBase,
     """
     if len(path) < 2 or len(set(path)) != len(path):
         raise ValueError(f"malformed path {path}")
-    available = kb.link_available_mbps
-    try:
-        bottleneck = min([available[(u, v) if u < v else (v, u)]
-                          for u, v in zip(path, path[1:])])
-    except KeyError as exc:
-        raise ValueError(f"path uses nonexistent link {exc.args[0]}") from None
+    available_on = kb.link_available_mbps.available_on
+    bottleneck = min([available_on(u, v) for u, v in zip(path, path[1:])])
     if bottleneck < bw_threshold:
         return None
     return Fitness(bottleneck)
@@ -421,7 +418,8 @@ class _Search:
                  observer: Observer | None) -> None:
         self.subgraph, self.source, self.destination = subgraph, source, destination
         self.rng, self.bw_threshold, self.observer = rng, bw_threshold, observer
-        self._available = kb.link_available_mbps
+        self._links = kb.link_available_mbps
+        self._index, self._available = self._links.index, self._links.available
         self.best_path: PathNodes | None = None
         self.best = REJECTED
         self.trace: list[float] = []
@@ -437,23 +435,27 @@ class _Search:
         Otherwise the hops are read left to right and the first one below
         the threshold rejects the path: some hop is below the threshold
         exactly when the minimum is, so the rank is ``path_fitness``'s.
-        Every candidate is a walk, a loop-excised crossover child or a
-        parent, hence a simple path of two or more nodes, so that is not
-        checked again."""
+        A hop reads ``available[index[key]]`` from the knowledge base's link
+        snapshot, both bound once per search; a hop that is not a link
+        raises the snapshot's own ValueError.  Every candidate is a walk, a
+        loop-excised crossover child or a parent, hence a simple path of two
+        or more nodes, so that is not checked again."""
         for parent, rank in parents:
             if path == parent:
                 return rank
-        available, threshold = self._available, self.bw_threshold
+        index, available, threshold = self._index, self._available, self.bw_threshold
         bottleneck = math.inf
         try:
             for u, v in itertools.pairwise(path):
-                bw = available[(u, v) if u < v else (v, u)]
+                # LinkSnapshot.available_on's lookup, inlined
+                bw = available[index[(u, v) if u < v else (v, u)]]
                 if bw < threshold:
                     return REJECTED
                 if bw < bottleneck:
                     bottleneck = bw
-        except KeyError as exc:
-            raise ValueError(f"path uses nonexistent link {exc.args[0]}") from None
+        except KeyError:
+            self._links.available_on(u, v)  # not a link: raises the snapshot's ValueError
+            raise
         return bottleneck
 
     def report(self, kind: str, path: PathNodes, value: float) -> None:

@@ -10,6 +10,7 @@ destination's quadrant are candidates for a route.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections.abc import Sequence
@@ -93,6 +94,9 @@ class EdgeArrays:
               sorted by (node, neighbor), each with the index of its link
     degree:   links per node
     starts:   index of each node's first directed edge
+    index:    each edge key's link position, a dict in link order; built on
+              first read and kept, so every knowledge base graded on the
+              topology reads its links through this one object
     """
 
     capacity_mbps: np.ndarray
@@ -140,6 +144,10 @@ class EdgeArrays:
             link=np.tile(np.arange(len(a), dtype=np.int32), 2)[order],
             degree=degree, starts=np.cumsum(degree) - degree,
         )
+
+    @functools.cached_property
+    def index(self) -> dict[tuple[int, int], int]:
+        return dict(zip(self.keys, range(len(self.keys))))
 
 
 class _LinkView(Sequence):

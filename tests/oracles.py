@@ -416,13 +416,13 @@ def grade_nodes_one_by_one(topology, link_states, config, rng):
     mu, flow_rate = link_states.mu, config.flow_rate_mbps
     decay = math.exp(-mu * config.grade_time_s)
 
-    kb = KnowledgeBase()
+    link_available, records = {}, {}
     flows_capacity = {}
     for link, t0, gamma in zip(topology.links, t0s, gammas):
         load = t0 * decay + (gamma / mu) * (1.0 - decay)
         loaded = min(1.0, max(0.0, load * flow_rate / link.capacity_mbps))
         key = (min(link.a, link.b), max(link.a, link.b))
-        kb.link_available_mbps[key] = link.capacity_mbps * (1.0 - loaded)
+        link_available[key] = link.capacity_mbps * (1.0 - loaded)
         flows_capacity[key] = (loaded * link.capacity_mbps / flow_rate, link.capacity_mbps)
 
     n = topology.n
@@ -445,8 +445,8 @@ def grade_nodes_one_by_one(topology, link_states, config, rng):
         for other in sorted(adj[v]):
             key = (v, other) if v < other else (other, v)
             flows, capacity = flows_capacity[key]
-            frees.append(kb.link_available_mbps[key])
-            fracs.append(kb.link_available_mbps[key] / capacity)
+            frees.append(link_available[key])
+            fracs.append(link_available[key] / capacity)
             lams.append(flows)
             caps.append(capacity / flow_rate)
         if frees:
@@ -476,6 +476,6 @@ def grade_nodes_one_by_one(topology, link_states, config, rng):
             priority = 2
         else:
             priority = 1
-        kb.records[v] = GradeRecord(node=v, priority=priority, delay_s=delay,
-                                    available_bw_mbps=available, grade=grade)
-    return kb
+        records[v] = GradeRecord(node=v, priority=priority, delay_s=delay,
+                                 available_bw_mbps=available, grade=grade)
+    return KnowledgeBase(records, link_available)

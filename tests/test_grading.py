@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,8 @@ from gradednet.grading import (
     GradeRecord,
     GradingConfig,
     KnowledgeBase,
+    LinkSnapshot,
+    _grade_columns,
     _node_delays,
     build_knowledge_base,
     grade_dump,
@@ -19,7 +22,8 @@ from gradednet.grading import (
     save_grade_dump,
     select_feasible,
 )
-from gradednet.topology import Link, Node, QosInputs, Topology, generate_topology
+from gradednet.topology import (Link, Node, QosInputs, Topology, generate_topology,
+                                load_topology, save_topology)
 from gradednet.traffic import LinkState, sample_link_states
 from oracles import grade_nodes_one_by_one
 
@@ -269,6 +273,68 @@ def test_available_on_reads_a_link_either_way_round():
     for a, b in ((0, 2), (2, 0), (1, 1), (2, 3)):
         with pytest.raises(ValueError, match=f"no link between {a} and {b} "):
             kb.available_on(a, b)
+
+
+# ---------------------------------------------------------------- link snapshot
+
+@pytest.fixture(params=["generated", "loaded"])
+def snapshot_topology(request, tmp_path):
+    topo = generate_topology(120, 0.2, 7)
+    if request.param == "loaded":
+        save_topology(topo, tmp_path / "topology.json")
+        topo = load_topology(tmp_path / "topology.json")
+    return topo
+
+
+def test_link_snapshot_reads_as_a_dict_of_the_free_column(snapshot_topology):
+    topo, config = snapshot_topology, GradingConfig()
+    # neither generating nor loading a topology builds its link index
+    assert "index" not in topo.edges.__dict__
+    states = sample_link_states(len(topo.links), np.random.default_rng(3), capacity_mbps=30.0)
+    kb = build_knowledge_base(topo, states, config, np.random.default_rng(4))
+    free = _grade_columns(topo.edges, states, config, np.random.default_rng(4))[0]
+    expected = dict(zip(topo.edges.keys, free.tolist()))
+    snapshot = kb.link_available_mbps
+    assert isinstance(snapshot, LinkSnapshot)
+    assert snapshot == expected and expected == snapshot
+    assert list(snapshot.items()) == list(expected.items())
+    assert len(snapshot) == len(topo.links) and repr(snapshot) == repr(expected)
+    assert all(type(v) is float for v in snapshot.values())
+    assert np.array(list(snapshot.values())).tobytes() == free.tobytes()
+    # a knowledge base built from the dict holds the same snapshot in the same form
+    rebuilt = KnowledgeBase(kb.records, expected)
+    assert isinstance(rebuilt.link_available_mbps, LinkSnapshot) and rebuilt == kb
+
+    a, b = next((a, b) for a in range(topo.n) for b in range(a + 1, topo.n)
+                if (a, b) not in topo.edges.index)
+    with pytest.raises(KeyError):
+        snapshot[(a, b)]
+    with pytest.raises(ValueError, match=f"no link between {b} and {a} "):
+        kb.available_on(b, a)
+    with pytest.raises(TypeError):
+        snapshot[topo.edges.keys[0]] = 1.0
+
+    again = build_knowledge_base(topo, states, config, np.random.default_rng(5))
+    assert again.link_available_mbps.index is snapshot.index is topo.edges.index
+
+
+def test_regrading_keeps_one_float_per_link():
+    # Once the topology's link index exists, a knowledge base of an n=1024
+    # topology (about 84k links) keeps its records and one float array; a
+    # dict of its links held about 4.7 MiB.
+    topo = generate_topology(1024, 0.2, 11)
+    rng = np.random.default_rng(5)
+    states = sample_link_states(len(topo.links), rng, capacity_mbps=30.0)
+    build_knowledge_base(topo, states, GradingConfig(), rng)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kb = build_knowledge_base(topo, states, GradingConfig(), rng)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(kb.link_available_mbps) == len(topo.links)
+    assert after - before < 1.5 * 2 ** 20
 
 
 # ---------------------------------------------------------------- selection

@@ -25,7 +25,7 @@ from gradednet.bench import (
     write_records_csv,
 )
 from gradednet.config import RunConfig
-from gradednet.grading import GradingConfig, KnowledgeBase, build_knowledge_base
+from gradednet.grading import GradingConfig, KnowledgeBase, LinkSnapshot, build_knowledge_base
 from gradednet.optimizers import (
     REJECTED,
     AbcConfig,
@@ -222,15 +222,22 @@ def test_path_fitness_matches_reference(case):
     assert rank == (REJECTED if expected is None else expected.bottleneck_bw)
 
 
-class _ReadLog(dict):
-    # A link snapshot that records, in order, every key it is asked for.
+class _ReadLog(list):
+    # A link snapshot's float column that records, in order, every position read.
     def __init__(self, *args):
         super().__init__(*args)
         self.reads = []
 
-    def __getitem__(self, key):
-        self.reads.append(key)
-        return super().__getitem__(key)
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return super().__getitem__(i)
+
+
+def _logging_reads(kb):
+    # ``kb`` with its link snapshot's values read through a _ReadLog, and the log.
+    links = kb.link_available_mbps
+    log = _ReadLog(links.available)
+    return KnowledgeBase(kb.records, LinkSnapshot(links.index, log)), log
 
 
 def test_evaluate_reads_up_to_first_rejected_link():
@@ -241,10 +248,9 @@ def test_evaluate_reads_up_to_first_rejected_link():
     sub = Subgraph(topo, frozenset(range(7)))
 
     def evaluate(bandwidths, *parents):
-        links = _ReadLog(zip(keys, bandwidths))
-        search = _Search(sub, path[0], path[-1], KnowledgeBase(link_available_mbps=links),
-                         random.Random(0), 4.5, None)
-        return search.evaluate(path, *parents), links.reads
+        kb, log = _logging_reads(KnowledgeBase(link_available_mbps=dict(zip(keys, bandwidths))))
+        search = _Search(sub, path[0], path[-1], kb, random.Random(0), 4.5, None)
+        return search.evaluate(path, *parents), [keys[i] for i in log.reads]
 
     for k in range(1, len(keys) + 1):
         # hop k is the first below the threshold, and every later hop is too
@@ -1021,19 +1027,19 @@ def test_rescoring_cases_reach_every_branch():
 def test_parents_values_are_reused():
     # On a pinned n=256 trial, GA's children are mostly copies of a parent
     # and take its rank unscored, and some bee moves return their source.
-    # A candidate is scored when its evaluation reads the link snapshot.
+    # A candidate is scored when its evaluation reads the link snapshot's values.
     config, seed = RunConfig(), trial_seed(7, 256, 21)
     prepared = prepare_trial(256, seed, config)
     evaluate = optimizers._Search.evaluate
     for algo in ("abc", "ga"):
-        links = _ReadLog(prepared.kb.link_available_mbps)
-        trial = dataclasses.replace(prepared, kb=KnowledgeBase(prepared.kb.records, links))
+        kb, log = _logging_reads(prepared.kb)
+        trial = dataclasses.replace(prepared, kb=kb)
         scored, reported = [], []
 
         def counted(self, path, *parents):
-            before = len(links.reads)
+            before = len(log.reads)
             value = evaluate(self, path, *parents)
-            if len(links.reads) > before:
+            if len(log.reads) > before:
                 scored.append(path)
             return value
 
