@@ -1,7 +1,7 @@
 """Benchmark harness: seeded trials, node-count sweeps, CSV/JSON artifacts.
 
 A trial is the full protocol on one topology: generate, grade, prune to the
-destination quadrant, then run both optimizers on the identical subgraph.
+destination quadrant, then run every optimizer on the identical subgraph.
 ``prepare_trial`` is the one implementation of the steps before the searches;
 ``run_trial`` and the ``route`` command build on it and its parts.
 Each trial's seed is split into independent per-purpose streams (topology,
@@ -32,13 +32,19 @@ STREAM_ABC = 2
 STREAM_GA = 3
 STREAM_ENDPOINTS = 4
 
+# Each optimizer's search, config and stream, in the order every artifact lists them.
+SEARCHES = {
+    "abc": (abc_search, RunConfig.abc_config, STREAM_ABC),
+    "ga": (ga_search, RunConfig.ga_config, STREAM_GA),
+}
+
 # results.csv's columns, in order, with the type of each.  Floats are written
 # with repr, so they load back exactly, and bools as 0 or 1.
 CSV_FIELDS = {
     "n": int, "seed": int, "mode": str, "n_selected": int,
-    "abc_hops": int, "ga_hops": int, "abc_conv": int, "ga_conv": int,
-    "abc_fit": float, "ga_fit": float,
-    "path_found_abc": bool, "path_found_ga": bool,
+    **{f"{algo}_{stat}": kind for stat, kind in (("hops", int), ("conv", int), ("fit", float))
+       for algo in SEARCHES},
+    **{f"path_found_{algo}": bool for algo in SEARCHES},
 }
 
 FITNESS_TIE_MBPS = 1e-9
@@ -87,7 +93,7 @@ def pick_endpoints(topology, rng: random.Random) -> tuple[int, int]:
 
 @dataclass
 class TrialRecord:
-    """One benchmark row: both algorithms on one graded topology."""
+    """One trial's row: each optimizer's result, in the field named after its ``SEARCHES`` key."""
 
     n_total: int
     n_selected: int
@@ -101,7 +107,8 @@ class TrialRecord:
     def to_row(self) -> dict:
         row = {"n": self.n_total, "seed": self.seed, "mode": self.selection_mode,
                "n_selected": self.n_selected}
-        for algo, result in (("abc", self.abc), ("ga", self.ga)):
+        for algo in SEARCHES:
+            result = getattr(self, algo)
             row[f"{algo}_hops"] = result.hop_count
             row[f"{algo}_conv"] = result.convergence_cycle
             row[f"{algo}_fit"] = result.best_fitness.bottleneck_bw
@@ -167,27 +174,21 @@ def prepare_trial(n: int, seed: int, config: RunConfig) -> PreparedTrial:
     return prune(topology, kb, source, destination, config.selection_mode)
 
 
-_SEARCHES = {
-    "abc": (abc_search, RunConfig.abc_config, STREAM_ABC),
-    "ga": (ga_search, RunConfig.ga_config, STREAM_GA),
-}
-
-
 def search(trial: PreparedTrial, algo: str, config: RunConfig, seed: int,
            observer: Observer | None = None) -> RouteResult:
-    """Run one optimizer ("abc" or "ga") on the trial's subgraph with its own stream."""
-    optimizer, algo_config, stream = _SEARCHES[algo]
+    """Run one optimizer, a key of ``SEARCHES``, on the trial's subgraph with its own stream."""
+    optimizer, algo_config, stream = SEARCHES[algo]
     return optimizer(trial.subgraph, trial.source, trial.destination, algo_config(config),
                      trial.kb, stream_py_rng(seed, stream),
                      bw_threshold=config.bw_threshold_mbps, observer=observer)
 
 
 def run_trial(n: int, seed: int, config: RunConfig) -> TrialRecord:
-    """Run the full protocol once: prepare the trial, then search with both algorithms."""
+    """Run the full protocol once: prepare the trial, then search with every optimizer."""
     trial = prepare_trial(n, seed, config)
     return TrialRecord(
         n_total=n, n_selected=len(trial.feasible),
-        abc=search(trial, "abc", config, seed), ga=search(trial, "ga", config, seed),
+        **{algo: search(trial, algo, config, seed) for algo in SEARCHES},
         seed=seed, selection_mode=config.selection_mode,
         source=trial.source, destination=trial.destination,
     )
@@ -210,9 +211,9 @@ def run_suite(config: RunConfig) -> tuple[SuiteSummary, list[TrialRecord]]:
     return summarize(rows), records
 
 
-def convergence_ratio(abc_median: float, ga_median: float) -> float | None:
+def convergence_ratio(abc_median: float | None, ga_median: float | None) -> float | None:
     """Relative convergence advantage (GA - ABC) / GA; None when undefined."""
-    if ga_median == 0:
+    if abc_median is None or ga_median is None or ga_median == 0:
         return None
     return (ga_median - abc_median) / ga_median
 
@@ -232,14 +233,13 @@ def summarize(rows: list[dict]) -> SuiteSummary:
     for n in sorted({row["n"] for row in rows}):
         group = [row for row in rows if row["n"] == n]
         entry = per_n[n] = {"trials": len(group)}
-        for algo in ("abc", "ga"):
+        for algo in SEARCHES:
             found = [row for row in group if row[f"path_found_{algo}"]]
             entry[f"path_found_{algo}"] = len(found) / len(group)
             entry[f"{algo}_median_hops"] = _median([row[f"{algo}_hops"] for row in found])
             entry[f"{algo}_median_conv"] = _median([row[f"{algo}_conv"] for row in found])
-        abc_conv, ga_conv = entry["abc_median_conv"], entry["ga_median_conv"]
-        entry["convergence_ratio"] = (None if abc_conv is None or ga_conv is None
-                                      else convergence_ratio(abc_conv, ga_conv))
+        entry["convergence_ratio"] = convergence_ratio(entry["abc_median_conv"],
+                                                       entry["ga_median_conv"])
 
     both = [row for row in rows if row["path_found_abc"] and row["path_found_ga"]]
     ga_better = sum(1 for r in both if r["ga_fit"] > r["abc_fit"] + FITNESS_TIE_MBPS)
@@ -302,20 +302,19 @@ def emit_plot_data(records: list[TrialRecord], kind: str, *,
     if kind not in PLOT_KINDS:
         raise ValueError(f"kind must be one of {PLOT_KINDS}")
     rows = []
-    for record in records:
-        for algo, result in (("abc", record.abc), ("ga", record.ga)):
-            if not result.found:
+    for record, algo in itertools.product(records, SEARCHES):
+        result = getattr(record, algo)
+        if not result.found:
+            continue
+        bottleneck = result.best_fitness.bottleneck_bw
+        if kind == "throughput":
+            value = bottleneck
+        else:
+            if bottleneck <= 0:
                 continue
-            bottleneck = result.best_fitness.bottleneck_bw
-            if kind == "throughput":
-                value = bottleneck
-            else:
-                if bottleneck <= 0:
-                    continue
-                flows = (link_capacity_mbps - bottleneck) / flow_rate_mbps
-                value = traffic_intensity(packet_size_bits, flows, bottleneck * 1e6)
-            rows.append((record.n_total, record.seed, algo,
-                         result.convergence_cycle, value))
+            flows = (link_capacity_mbps - bottleneck) / flow_rate_mbps
+            value = traffic_intensity(packet_size_bits, flows, bottleneck * 1e6)
+        rows.append((record.n_total, record.seed, algo, result.convergence_cycle, value))
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
     return rows
 

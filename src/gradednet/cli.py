@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .bench import (
     PLOT_KINDS,
+    SEARCHES,
     emit_plot_data,
     grade_topology,
     prune,
@@ -73,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_route.add_argument("--topology", required=True, help="topology JSON file")
     p_route.add_argument("--source", type=int, required=True)
     p_route.add_argument("--destination", type=int, required=True)
-    p_route.add_argument("--algo", choices=("abc", "ga", "both"), default="both")
+    p_route.add_argument("--algo", choices=(*SEARCHES, "both"), default="both")
     p_route.add_argument("--mode", dest="selection_mode", choices=SELECTION_MODES)
 
     p_bench = sub.add_parser("bench", help="run the node-count sweep benchmark")
@@ -165,9 +166,7 @@ def cmd_route(config: RunConfig, topology_path: str, source: int,
               f"(priority {priority}); no route can qualify")
 
     docs = {}
-    for name in ("abc", "ga"):
-        if algo not in (name, "both"):
-            continue
+    for name in (SEARCHES if algo == "both" else (algo,)):
         result = search(trial, name, config, config.seed)
         _print_route(name, result)
         docs[name] = {**_route_result_dict(result), "source": source,
@@ -196,13 +195,15 @@ def cmd_bench(config: RunConfig) -> int:
     def _fmt(value, spec=".1f"):
         return "-" if value is None else format(value, spec)
 
-    print(f"{'n':>6} {'trials':>7} {'found%':>7} {'abc hops':>9} {'ga hops':>8} "
-          f"{'abc conv':>9} {'ga conv':>8} {'ratio':>7}")
+    # Each median's column is one place wider than its label.
+    medians = [(f"{algo} {stat}", f"{algo}_median_{stat}")
+               for stat in ("hops", "conv") for algo in SEARCHES]
+    header = "".join(f" {label:>{len(label) + 1}}" for label, _ in medians)
+    print(f"{'n':>6} {'trials':>7} {'found%':>7}{header} {'ratio':>7}")
     for n, s in sorted(summary.per_n.items()):
-        found = (s["path_found_abc"] + s["path_found_ga"]) / 2
-        print(f"{n:>6} {s['trials']:>7} {found * 100:>6.0f}% "
-              f"{_fmt(s['abc_median_hops']):>9} {_fmt(s['ga_median_hops']):>8} "
-              f"{_fmt(s['abc_median_conv']):>9} {_fmt(s['ga_median_conv']):>8} "
+        found = sum(s[f"path_found_{algo}"] for algo in SEARCHES) / len(SEARCHES)
+        cells = "".join(f" {_fmt(s[key]):>{len(label) + 1}}" for label, key in medians)
+        print(f"{n:>6} {s['trials']:>7} {found * 100:>6.0f}%{cells} "
               f"{_fmt(s['convergence_ratio'], '.2f'):>7}")
     q = summary.quality
     print(f"quality over {q['compared_trials']} compared trials: "

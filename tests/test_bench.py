@@ -116,6 +116,10 @@ def test_convergence_ratio_cases():
     assert convergence_ratio(7.0, 7.0) == 0.0
     assert convergence_ratio(10.0, 4.0) == pytest.approx(-1.5)
     assert convergence_ratio(1.0, 0.0) is None
+    # a median is None when no trial at that n found a path
+    assert convergence_ratio(None, 4.0) is None
+    assert convergence_ratio(4.0, None) is None
+    assert convergence_ratio(None, None) is None
 
 
 def test_csv_round_trip(tmp_path):

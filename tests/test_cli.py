@@ -476,19 +476,28 @@ PINNED_ROUTE = {
 }
 
 
-def test_route_and_grade_artifacts_pinned(tmp_path, capsys):
+@pytest.mark.parametrize("algo", ["abc", "ga", "both"])
+def test_route_and_grade_artifacts_pinned(tmp_path, capsys, algo):
+    # A single-algorithm route prints and writes only that algorithm's search,
+    # and its file is byte-identical to the one the two-algorithm route writes.
     assert main(["generate", "--n", "40", "--seed", "7", "--out", str(tmp_path / "gen")]) == 0
     topology = str(tmp_path / "gen" / "topology.json")
     code, stdout, _ = _run(capsys, "route", "--topology", topology, "--source", "0",
-                           "--destination", "2", "--seed", "7",
+                           "--destination", "2", "--seed", "7", "--algo", algo,
                            "--config", _fast_config(tmp_path), "--out", str(tmp_path / "route"))
     assert code == 0
-    assert "[abc] path:" in stdout and "[ga] path:" in stdout
+    ran = ["abc", "ga"] if algo == "both" else [algo]
+    for name in ("abc", "ga"):
+        assert (f"[{name}]" in stdout) == (name in ran)
+    assert sorted(p.name for p in (tmp_path / "route").glob("route_*.json")) == [
+        f"route_{name}.json" for name in ran]
     assert main(["grade", "--topology", topology, "--seed", "7",
                  "--out", str(tmp_path / "grade")]) == 0
+    skipped = {f"route/route_{name}.json" for name in ("abc", "ga") if name not in ran}
+    expected = {name: digest for name, digest in PINNED_ROUTE.items() if name not in skipped}
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in PINNED_ROUTE}
-    assert digests == PINNED_ROUTE
+               for name in expected}
+    assert digests == expected
 
 
 # sha256 of grade's grade_dump.json for an n=1024 topology (about 84k links),
