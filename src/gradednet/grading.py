@@ -101,7 +101,8 @@ class KnowledgeBase:
 
     ``link_available_mbps`` is always a ``LinkSnapshot``: any other mapping
     given for it is copied into one, in its own order, when the knowledge
-    base is built.
+    base is built.  Its keys must be ``(a, b)`` with ``a < b``, the one form
+    every lookup reads; a ValueError names the first that is not.
 
     A knowledge base is not changed after its first selection:
     ``select_feasible`` stores the nodes it selects under each mode and
@@ -117,6 +118,9 @@ class KnowledgeBase:
     def __post_init__(self) -> None:
         links = self.link_available_mbps
         if not isinstance(links, LinkSnapshot):
+            for a, b in links:
+                if not a < b:
+                    raise ValueError(f"link key {(a, b)} must be (a, b) with a < b")
             self.link_available_mbps = LinkSnapshot(dict(zip(links, range(len(links)))),
                                                     array("d", links.values()))
 

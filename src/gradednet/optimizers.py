@@ -16,7 +16,6 @@ import bisect
 import functools
 import itertools
 import math
-import operator
 import random
 from dataclasses import dataclass
 from typing import Callable
@@ -338,15 +337,10 @@ def path_fitness(path: PathNodes, topology: Topology, kb: KnowledgeBase,
 
 
 def _wheel(weights: list[float] | tuple[float, ...]) -> list[float]:
-    # The roulette wheel over ``weights``: their left-to-right partial sums,
-    # after checking that there is a weight and none is negative.
-    if len(weights) == 0:
-        raise ValueError("weights must not be empty")
-    # the test w < 0 on each weight, run in C; NaN and -0.0 are not negative
-    if any(map(operator.lt, weights, itertools.repeat(0.0))):
-        raise ValueError("weights must be nonnegative")
-    # the total is the last left-to-right partial sum, so the pick below can
-    # reach it; sum() compensates on Python 3.12+ and could differ
+    # The roulette wheel over ``weights``, at least one and none negative (each
+    # caller floors its ranks at zero): their left-to-right partial sums.  The
+    # total is the last partial sum, so the pick below can reach it; sum()
+    # compensates on Python 3.12+ and could differ.
     return list(itertools.accumulate(weights))
 
 

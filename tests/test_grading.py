@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -273,6 +274,10 @@ def test_available_on_reads_a_link_either_way_round():
     for a, b in ((0, 2), (2, 0), (1, 1), (2, 3)):
         with pytest.raises(ValueError, match=f"no link between {a} and {b} "):
             kb.available_on(a, b)
+    # a hand-built key that no lookup would reach is refused when it is built
+    for key in ((1, 0), (2, 2)):
+        with pytest.raises(ValueError, match=re.escape(f"link key {key} must be")):
+            KnowledgeBase(link_available_mbps={(0, 1): 5.0, key: 5.0})
 
 
 # ---------------------------------------------------------------- link snapshot
