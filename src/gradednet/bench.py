@@ -293,9 +293,9 @@ def emit_plot_data(records: list[TrialRecord], kind: str, *,
 
     ``throughput`` reports the best path's bottleneck bandwidth in Mbps at its
     convergence cycle; ``traffic-intensity`` reports packet size times the
-    bottleneck link's flow count over its available bandwidth.  Algorithms
-    that found no path (or whose bottleneck is fully saturated) contribute no
-    row.  Rows are sorted by (n, seed, algo, cycle).
+    bottleneck link's flow count over its available bandwidth.  No path, no
+    row; a saturated bottleneck (0 Mbps free) reads 0.0 in ``throughput`` and
+    has no ``traffic-intensity`` row.  Rows are sorted by (n, seed, algo, cycle).
     """
     if not records:
         raise ValueError("no records to plot")

@@ -13,10 +13,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from operator import eq
 from pathlib import Path
 
 import numpy as np
@@ -150,14 +148,10 @@ class EdgeArrays:
         return dict(zip(self.keys, range(len(self.keys))))
 
 
-class _LinkView(Sequence):
+class _LinkView:
     """A generated topology's links, read-only: ``Link(a, b, capacity)`` for
-    each edge key ``(a, b)``, built when read and not kept.
-
-    It reads as the list of those links would: ``len`` without building any,
-    negative indices, ``IndexError``, slices as lists, ``==`` against a list
-    or another view, element by element, and the list's ``repr``.
-    """
+    each edge key ``(a, b)``, built when iterated and not kept.  ``len``
+    builds none."""
 
     __slots__ = ("_keys", "_capacity_mbps")
 
@@ -167,37 +161,24 @@ class _LinkView(Sequence):
     def __len__(self) -> int:
         return len(self._keys)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(_LinkView(self._keys[index], self._capacity_mbps))
-        return Link(*self._keys[index], self._capacity_mbps)
-
     def __iter__(self):
         capacity = self._capacity_mbps
         return (Link(a, b, capacity) for a, b in self._keys)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (list, _LinkView)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
-    def __repr__(self) -> str:
-        return repr(list(self))
 
 
 class Topology:
     """A generated network: nodes, undirected links, and their position (n x 2)
     and edge arrays, built once.
 
-    ``==`` and ``repr`` are a dataclass's over ``seed``, ``nodes`` and
-    ``links``.  A topology built from a list of links keeps that list; a
-    generated one reads its ``links`` through a view over its edge keys, each
-    ``a < b`` with the generator's capacity, so no ``Link`` is kept.
+    ``==`` and ``repr`` are a dataclass's over ``seed``, ``nodes`` and the
+    list of ``links``.  A topology built from a list of links keeps that list;
+    a generated one counts and iterates its ``links`` through a view over its
+    edge keys, each ``a < b`` with the generator's capacity, keeping no ``Link``.
     """
 
     seed: int
     nodes: list[Node]
-    links: Sequence[Link]
+    links: list[Link] | _LinkView
     positions: np.ndarray
     edges: EdgeArrays
 
@@ -235,11 +216,12 @@ class Topology:
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.seed, self.nodes, self.links) == (other.seed, other.nodes, other.links)
+        return ((self.seed, self.nodes, list(self.links))
+                == (other.seed, other.nodes, list(other.links)))
 
     def __repr__(self) -> str:
         return (f"{type(self).__qualname__}(seed={self.seed!r}, nodes={self.nodes!r}, "
-                f"links={self.links!r})")
+                f"links={list(self.links)!r})")
 
     @property
     def n(self) -> int:

@@ -18,7 +18,8 @@ from gradednet.bench import (
     write_records_csv,
 )
 from gradednet.config import RunConfig
-from gradednet.optimizers import Fitness, RouteResult
+from gradednet.grading import KnowledgeBase
+from gradednet.optimizers import Fitness, RouteResult, Subgraph, abc_search, ga_search
 from gradednet.topology import Link, Node, QosInputs, Topology, generate_topology
 
 FAST = RunConfig(colony_size=6, population_size=6, max_cycles=8, generations=8)
@@ -44,7 +45,7 @@ def test_trial_protocol_builds_no_link(monkeypatch):
     # counting the links builds none; reading one does, so the patch bites
     assert len(trial.topology.links) == len(trial.topology.edges.keys)
     with pytest.raises(AssertionError, match="a Link was built"):
-        trial.topology.links[0]
+        next(iter(trial.topology.links))
 
 
 def test_trial_selected_subset():
@@ -175,6 +176,26 @@ def test_plot_data_intensity_recomputable():
 def test_plot_data_skips_missing_paths():
     rows = emit_plot_data([_fixed_record(found=False)], "throughput")
     assert rows == []
+
+
+def test_plot_data_saturated_bottleneck():
+    # a 0.0 Mbps threshold lets both searches find the one path, through a link with
+    # no bandwidth free: it reads 0.0 throughput and has no traffic intensity
+    nodes = [Node(i, x, x, QosInputs(network_lifetime=50.0))
+             for i, x in enumerate((0.1, 0.5, 0.9))]
+    topo = Topology(seed=0, nodes=nodes, links=[Link(0, 1, 30.0), Link(1, 2, 30.0)])
+    kb = KnowledgeBase(link_available_mbps={(0, 1): 0.0, (1, 2): 24.0})
+    sub = Subgraph.from_topology(topo, {1, 2}, 0)
+    config = FAST.replace(bw_threshold_mbps=0.0)
+    abc = abc_search(sub, 0, 2, config.abc_config(), kb, random.Random(1),
+                     bw_threshold=config.bw_threshold_mbps)
+    ga = ga_search(sub, 0, 2, config.ga_config(), kb, random.Random(1),
+                   bw_threshold=config.bw_threshold_mbps)
+    assert abc.best_path == ga.best_path == (0, 1, 2)
+    record = TrialRecord(n_total=3, n_selected=2, abc=abc, ga=ga, seed=7,
+                         selection_mode="best-classes")
+    assert [row[4] for row in emit_plot_data([record], "throughput")] == [0.0, 0.0]
+    assert emit_plot_data([record], "traffic-intensity") == []
 
 
 def test_plot_data_validation():
