@@ -79,8 +79,15 @@ class GaConfig:
 
 @dataclass
 class FoodSource:
+    """A bee colony's food source: a path, its nectar (its rank) and its
+    failed trials, with the state of every prefix of the path.
+    ``prefixes[i]`` is ``(visited, low)`` for ``path[:i + 1]``: the bit set
+    of its nodes' ranks, and the least bandwidth on its hops (inf for the
+    first node alone)."""
+
     path: PathNodes
     value: float
+    prefixes: list[tuple[int, float]]
     trials: int = 0
 
 
@@ -232,19 +239,22 @@ def path_is_valid(path: PathNodes, subgraph: Subgraph, source: int, destination:
     return all(v in neighbors(u) for u, v in zip(path, path[1:]))
 
 
-def _walk(rows: _Rows, prefix: PathNodes, destination: int,
+def _walk(rows: _Rows, prefix: PathNodes, visited: int, destination: int,
           getrandbits: Callable[[int], int]) -> PathNodes | None:
     # Extend ``prefix``, which must not hold ``destination``, by one uniform
     # random walk over unvisited allowed neighbors to ``destination``; the
-    # whole path, or None on a dead end.  Every path move is this walk: a
-    # scout extends the source alone, a bee move and a GA mutation a kept
-    # prefix of the path they change.  The hot loop of both searches runs on
-    # member ranks, reading each step's row from ``table``, a plain list, by
-    # the current rank: ``visited`` is a bit set over them, ``seen`` the row's
-    # visited neighbors.  The pick draws r below the count of the unvisited
-    # ones by the rule CPython 3.10-3.13's randrange follows on a
-    # random.Random, inlined: getrandbits of the count's bit length until
-    # one is below the count.  So a walk makes randrange's draws, and then
+    # whole path, or None on a dead end.  ``visited`` is the bit set of the
+    # prefix's ranks, a non-member's at ``outside``, which the caller keeps:
+    # a scout's is the source's bit, a bee move's its food source's prefix
+    # state, a GA mutation's built for its prefix.  Every path move is this
+    # walk: a scout extends the source alone, a bee move and a GA mutation a
+    # kept prefix of the path they change.  The hot loop of both searches
+    # runs on member ranks, reading each step's row from ``table``, a plain
+    # list, by the current rank: ``seen`` is the row's visited neighbors.
+    # The pick draws r below the count of the unvisited ones by the rule
+    # CPython 3.10-3.13's randrange follows on a random.Random, inlined:
+    # getrandbits of the count's bit length until one is below the count.
+    # So a walk makes randrange's draws, and then
     # takes ``ranks[j]`` for the least j with exactly r unvisited ranks
     # before it.  From j = r, each pass sets j to r plus the visited ranks up
     # to ranks[j]; j never decreases and never passes that least j, so the
@@ -254,9 +264,6 @@ def _walk(rows: _Rows, prefix: PathNodes, destination: int,
     # neighbor order.
     members, rank, outside, upto = rows.members, rows.rank, rows.outside, rows.upto
     table = rows.table
-    visited = 0
-    for v in prefix:
-        visited |= 1 << rank.get(v, outside)
     cur, target = rank.get(prefix[-1], outside), rank.get(destination, -1)
     path = [*prefix]
     while True:
@@ -291,25 +298,12 @@ def random_path(subgraph: Subgraph, source: int, destination: int,
     if source not in subgraph.allowed or destination not in subgraph.allowed:
         return None
     rows, getrandbits = subgraph._rows, rng.getrandbits
+    prefix, visited = (source,), 1 << rows.rank[source]
     for _ in range(WALK_RESTARTS):
-        found = _walk(rows, (source,), destination, getrandbits)
+        found = _walk(rows, prefix, visited, destination, getrandbits)
         if found is not None:
             return found
     return None
-
-
-def _perturb(path: PathNodes, rows: _Rows, rng: random.Random) -> PathNodes:
-    # The bees' move: keep a random prefix short of the destination, regrow
-    # the rest avoiding it; ``path`` unchanged after REGROW_RETRIES dead ends.
-    # ``path`` must be a simple path of two or more nodes, as every food
-    # source is, and nothing checks it: a shorter one has no cut point, and a
-    # cut of one that repeats a node could keep its destination.
-    for _ in range(REGROW_RETRIES):
-        cut = rng.randrange(len(path) - 1)
-        regrown = _walk(rows, path[:cut + 1], path[-1], rng.getrandbits)
-        if regrown is not None:
-            return regrown
-    return path
 
 
 def path_fitness(path: PathNodes, topology: Topology, kb: KnowledgeBase,
@@ -403,7 +397,9 @@ class _Search:
     per-cycle trace, which is nondecreasing.  A candidate's rank is one
     float: its bottleneck, or ``REJECTED``.  ``evaluate`` is the one place a
     candidate gets its rank, once per candidate; it stops reading a rejected
-    candidate at its first link below the threshold.  ``path_fitness`` is the
+    candidate at its first link below the threshold, and a bee move's at
+    the first sign that it cannot beat its food source, reading none of the
+    links it kept from it.  ``path_fitness`` is the
     validating reference that the tests and the benchmark score with.  Equal
     endpoints are a ValueError raised by ``populate``, before any draw."""
 
@@ -421,7 +417,8 @@ class _Search:
     def scout(self) -> PathNodes | None:
         return random_path(self.subgraph, self.source, self.destination, self.rng)
 
-    def evaluate(self, path: PathNodes, *parents: tuple[PathNodes, float]) -> float:
+    def evaluate(self, path: PathNodes, *parents: tuple[PathNodes, float], cut: int = 0,
+                 low: float = math.inf, floor: float = REJECTED) -> float:
         """The rank of ``path``.  A rank depends on the path alone, so a
         candidate equal to one of its ``(parent, rank)`` pairs takes that
         rank and is not scored again.
@@ -433,17 +430,32 @@ class _Search:
         snapshot, both bound once per search; a hop that is not a link
         raises the snapshot's own ValueError.  Every candidate is a walk, a
         loop-excised crossover child or a parent, hence a simple path of two
-        or more nodes, so that is not checked again."""
+        or more nodes, so that is not checked again.
+
+        A bee move scores its candidate from its food source's prefix
+        state: ``low`` is the least bandwidth on the hops of the kept prefix
+        ``path[:cut + 1]``, and only the hops after it are read.  Its
+        ``floor`` is the source's nectar, which the move keeps the candidate
+        only above and which the best rank seen is at least.  A candidate
+        that cannot rank above ``floor`` is ``REJECTED`` as soon as that is
+        known: its kept prefix or one regrown hop is below the threshold or
+        at or below the floor.  So a kept prefix's links are never read."""
         for parent, rank in parents:
             if path == parent:
                 return rank
-        index, available, threshold = self._index, self._available, self.bw_threshold
-        bottleneck = math.inf
+        index, available = self._index, self._available
+        # the least bandwidth a hop may have without rejecting the path:
+        # above the floor, where there is one; a floor is never below the
+        # threshold
+        limit = self.bw_threshold if floor == REJECTED else math.nextafter(floor, math.inf)
+        if low < limit:
+            return REJECTED
+        bottleneck = low
         try:
-            for u, v in itertools.pairwise(path):
+            for u, v in itertools.pairwise(path[cut:]):
                 # LinkSnapshot.available_on's lookup, inlined
                 bw = available[index[(u, v) if u < v else (v, u)]]
-                if bw < threshold:
+                if bw < limit:
                     return REJECTED
                 if bw < bottleneck:
                     bottleneck = bw
@@ -451,6 +463,26 @@ class _Search:
             self._links.available_on(u, v)  # not a link: raises the snapshot's ValueError
             raise
         return bottleneck
+
+    def prefix_state(self, path: PathNodes,
+                     kept: list[tuple[int, float]] | None = None) -> list[tuple[int, float]]:
+        """The state of every prefix of ``path``, a walk over the members,
+        as a food source keeps it: item i is ``(visited, low)`` for
+        ``path[:i + 1]``, the bit set of its ranks and the least bandwidth
+        on its hops (inf for the first node alone).  Built in one pass; it
+        continues ``kept``, the state of a prefix of ``path``, which it
+        extends in place, and so reads none of that prefix's links."""
+        rank = self.subgraph._rows.rank
+        index, available = self._index, self._available
+        state = kept if kept is not None else [(1 << rank[path[0]], math.inf)]
+        visited, low = state[-1]
+        for u, v in itertools.pairwise(path[len(state) - 1:]):
+            bw = available[index[(u, v) if u < v else (v, u)]]
+            if bw < low:
+                low = bw
+            visited |= 1 << rank[v]
+            state.append((visited, low))
+        return state
 
     def report(self, kind: str, path: PathNodes, value: float) -> None:
         """Tell the observer about a candidate and keep it if it is the best yet."""
@@ -512,13 +544,26 @@ def abc_search(subgraph: Subgraph, source: int, destination: int,
     trials are abandoned to scouts.  The best source ever seen is remembered
     across cycles.
 
+    A bee's move keeps a random prefix of its source, short of the
+    destination, and regrows the rest by a walk that avoids it.  So each
+    food source keeps the state of every prefix of its path: the bit set of
+    the prefix's nodes, which the walk starts from, and the least bandwidth
+    on its hops, from which the candidate is scored by reading only its
+    regrown hops.  Both depend on the source alone, and a source changes
+    only when a scout replaces it or a move is accepted, which is rare;
+    then the state is built in one pass, an accepted move's continuing its
+    kept prefix's.  So a kept prefix's links are never read again.  A
+    candidate whose kept prefix is already below the threshold, or at or
+    below its source's nectar, can be neither kept nor a new best, so it is
+    reported to the observer without a link read.
+
     The onlookers' roulette wheel (the partial sums of the sources' nectar,
     floored at zero) is built once per onlooker phase and rebuilt only when
     an onlooker's candidate is accepted, the one event that changes a
     source's nectar, so every onlooker spins a wheel of the current nectar of
     every source, exactly as if it were rebuilt before each selection.  A
-    candidate the perturbation returned unchanged keeps its source's nectar
-    without being scored again.
+    move whose every regrowth dead-ends returns its source, which keeps its
+    nectar without being scored again.
 
     Scouts almost never run at the default ``abc_limit`` (5x the colony
     size, 500 trials): a source gets about two trials a cycle, one employed
@@ -529,19 +574,31 @@ def abc_search(subgraph: Subgraph, source: int, destination: int,
     search = _Search(subgraph, source, destination, kb, rng, bw_threshold, observer)
     colony = cfg.colony_size
     limit = cfg.abc_limit if cfg.abc_limit is not None else colony * 5
-    sources = [FoodSource(path, value) for path, value in search.populate(colony)]
+    sources = [FoodSource(path, value, search.prefix_state(path))
+               for path, value in search.populate(colony)]
     if not sources:
         return search.result()
     # bound only now, so a query that ends at the prune builds no rows
-    rows = subgraph._rows
+    rows, randrange, getrandbits = subgraph._rows, rng.randrange, rng.getrandbits
 
     def improve(src: FoodSource, kind: str) -> bool:
-        # The bees' greedy move: perturb the source and keep the candidate if
-        # it ranks higher, else count a trial.  True when it was kept.
-        candidate = _perturb(src.path, rows, rng)
-        value = search.step(kind, candidate, (src.path, src.value))
+        # The bees' greedy move: up to REGROW_RETRIES times, keep a random
+        # prefix of the source and regrow the rest; keep the candidate if it
+        # ranks higher, else count a trial.  True when it was kept.
+        path = src.path
+        for _ in range(REGROW_RETRIES):
+            cut = randrange(len(path) - 1)
+            visited, low = src.prefixes[cut]
+            candidate = _walk(rows, path[:cut + 1], visited, destination, getrandbits)
+            if candidate is not None:
+                value = search.evaluate(candidate, cut=cut, low=low, floor=src.value)
+                break
+        else:
+            candidate, value = path, src.value
+        search.report(kind, candidate, value)
         if value > src.value:
             src.path, src.value, src.trials = candidate, value, 0
+            src.prefixes = search.prefix_state(candidate, src.prefixes[:cut + 1])
             return True
         src.trials += 1
         return False
@@ -564,6 +621,7 @@ def abc_search(subgraph: Subgraph, source: int, destination: int,
                 fresh = search.scout()
                 if fresh is not None:
                     src.path, src.value = fresh, search.step("scout", fresh)
+                    src.prefixes = search.prefix_state(fresh)
                 src.trials = 0
 
         search.end_cycle()
@@ -589,6 +647,7 @@ def ga_search(subgraph: Subgraph, source: int, destination: int,
         return search.result()
     # bound only now, so a query that ends at the prune builds no rows
     rows, getrandbits = subgraph._rows, rng.getrandbits
+    rank = rows.rank
 
     def mutate(path: PathNodes) -> PathNodes:
         # Per intermediate gene: with probability mutation_rate, regrow the
@@ -598,7 +657,11 @@ def ga_search(subgraph: Subgraph, source: int, destination: int,
             return path
         for i in range(1, len(path) - 1):
             if rng.random() < cfg.mutation_rate:
-                return _walk(rows, path[:i], path[-1], getrandbits) or path
+                prefix = path[:i]
+                visited = 0
+                for v in prefix:
+                    visited |= 1 << rank[v]
+                return _walk(rows, prefix, visited, path[-1], getrandbits) or path
         return path
 
     for _ in range(cfg.generations):

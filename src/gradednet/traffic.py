@@ -31,7 +31,9 @@ class LinkState:
     mu:    flow service rate shared by every link, 1/mean flow duration
 
     ``t0`` and ``gamma`` are arrays aligned with ``topology.links``; a scalar
-    field applies to every link.  A negative or NaN field is a ValueError.
+    field applies to every link.  A negative, infinite or NaN field is a
+    ValueError naming the field: the closed form below would turn an
+    infinite one into NaN (``inf * 0.0`` at ``t = 0``).
     """
 
     t0: np.ndarray | float = 0.0
@@ -39,12 +41,14 @@ class LinkState:
     mu: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.mu > 0:
-            raise ValueError(f"service rate must be positive, got {self.mu}")
-        if not np.all(np.greater_equal(self.t0, 0)):
-            raise ValueError(f"initial load must be nonnegative, got {np.min(self.t0)}")
-        if not np.all(np.greater_equal(self.gamma, 0)):
-            raise ValueError(f"arrival rate must be nonnegative, got {np.min(self.gamma)}")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"service rate must be positive and finite, got {self.mu}")
+        for field, values in (("initial load", self.t0), ("arrival rate", self.gamma)):
+            values = np.asarray(values)
+            bad = ~((values >= 0) & (values < math.inf))
+            if bad.any():
+                raise ValueError(f"{field} must be nonnegative and finite, "
+                                 f"got {values[bad].flat[0]}")
 
 
 def link_load_at(state: LinkState, t: float):

@@ -218,8 +218,9 @@ def extend_by_randrange(subgraph, prefix, destination: int, rng):
 
 
 def neighbor_path_by_randrange(path, subgraph, rng):
-    """The bees' move, ``_perturb``, built on ``extend_by_randrange``: a random
-    cut, then a regrown suffix that avoids the kept prefix."""
+    """The bees' move, as ``abc_search`` makes it, built on
+    ``extend_by_randrange``: a random cut, then a regrown suffix that avoids
+    the kept prefix."""
     for _ in range(REGROW_RETRIES):
         cut = rng.randrange(len(path) - 1)
         regrown = extend_by_randrange(subgraph, path[:cut + 1], path[-1], rng)

@@ -1,7 +1,10 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+from gradednet import bench
 from gradednet.bench import (
     TrialRecord,
     convergence_ratio,
@@ -23,6 +26,18 @@ from gradednet.optimizers import Fitness, RouteResult, Subgraph, abc_search, ga_
 from gradednet.topology import Link, Node, QosInputs, Topology, generate_topology
 
 FAST = RunConfig(colony_size=6, population_size=6, max_cycles=8, generations=8)
+
+
+def test_benchmark_runs_every_search():
+    # The benchmark keeps its own copy of the optimizer list, read here from
+    # its source without importing it; its traced sweep runs ABC and GA by name.
+    run = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    searches = next(ast.literal_eval(node.value) for node in ast.parse(run.read_text()).body
+                    if isinstance(node, ast.Assign)
+                    and [getattr(t, "id", None) for t in node.targets] == ["SEARCHES"])
+    assert searches == tuple(bench.SEARCHES), (
+        f"perfbench/run.py runs {searches}, bench.SEARCHES is {tuple(bench.SEARCHES)}: "
+        "a new optimizer needs a benchmark change that runs it in perfbench too")
 
 
 def test_trial_deterministic():

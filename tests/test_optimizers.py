@@ -1,7 +1,10 @@
 import dataclasses
+import functools
 import gc
 import hashlib
+import itertools
 import math
+import operator
 import random
 import weakref
 from collections import Counter
@@ -27,13 +30,13 @@ from gradednet.bench import (
 from gradednet.config import RunConfig
 from gradednet.grading import GradingConfig, KnowledgeBase, LinkSnapshot, build_knowledge_base
 from gradednet.optimizers import (
+    REGROW_RETRIES,
     REJECTED,
     AbcConfig,
     Fitness,
     GaConfig,
     Subgraph,
     _excise_loops,
-    _perturb,
     _Search,
     _spin,
     _wheel,
@@ -85,6 +88,26 @@ def _random_setup(seed, n=20, density=0.3):
     return topo, kb, sub
 
 
+def _visited(sub, prefix):
+    # the walk's bit set of ``prefix``, rebuilt: each member's rank, any
+    # non-member's at ``outside``
+    rows = sub._rows
+    return functools.reduce(operator.or_, (1 << rows.rank.get(v, rows.outside) for v in prefix))
+
+
+def _regrow(path, sub, rng):
+    # The bees' move on a bare path, as abc_search makes it: a random cut
+    # short of the destination, then a walk from the kept prefix; ``path``
+    # unchanged after REGROW_RETRIES dead ends.
+    for _ in range(REGROW_RETRIES):
+        prefix = path[:rng.randrange(len(path) - 1) + 1]
+        regrown = optimizers._walk(sub._rows, prefix, _visited(sub, prefix), path[-1],
+                                   rng.getrandbits)
+        if regrown is not None:
+            return regrown
+    return path
+
+
 # ---------------------------------------------------------------- paths
 
 def test_random_path_line_graph():
@@ -115,7 +138,7 @@ def test_perturb_single_hop():
     sub = Subgraph.from_topology(topo, {1, 2}, 0)
     base = (0, 1, 2)
     for seed in range(10):
-        regrown = _perturb(base, sub._rows, random.Random(seed))
+        regrown = _regrow(base, sub, random.Random(seed))
         assert path_is_valid(regrown, sub, 0, 2)
         assert regrown == base  # unique path in a line graph
 
@@ -129,7 +152,7 @@ def test_perturb_property_scan():
         if path is None:
             continue
         for _ in range(25):
-            path = _perturb(path, sub._rows, rng)
+            path = _regrow(path, sub, rng)
             assert path_is_valid(path, sub, 0, 15)
             count += 1
     assert count > 400
@@ -247,10 +270,10 @@ def test_evaluate_reads_up_to_first_rejected_link():
     topo = _topology([((i + 0.5) / 7, 0.5) for i in range(7)], keys)
     sub = Subgraph(topo, frozenset(range(7)))
 
-    def evaluate(bandwidths, *parents):
+    def evaluate(bandwidths, *parents, **prefix):
         kb, log = _logging_reads(KnowledgeBase(link_available_mbps=dict(zip(keys, bandwidths))))
         search = _Search(sub, path[0], path[-1], kb, random.Random(0), 4.5, None)
-        return search.evaluate(path, *parents), [keys[i] for i in log.reads]
+        return search.evaluate(path, *parents, **prefix), [keys[i] for i in log.reads]
 
     for k in range(1, len(keys) + 1):
         # hop k is the first below the threshold, and every later hop is too
@@ -261,6 +284,73 @@ def test_evaluate_reads_up_to_first_rejected_link():
     # a candidate equal to a given parent takes its rank unread
     other = (3, 0, 5, 1, 6, 4)
     assert evaluate([2.0] * len(keys), (other, 1.0), (path, 7.0)) == (7.0, [])
+    # A bee move's candidate, kept up to path[2]: only the hops after it are
+    # read, and one that cannot rank above its source's nectar (the floor)
+    # is rejected as soon as a kept or regrown hop is at or below it.
+    bandwidths = [2.0, 2.0, 12.0, 9.0, 7.0, 30.0]
+    assert evaluate(bandwidths, cut=2, low=8.0) == (7.0, keys[2:])
+    assert evaluate(bandwidths, cut=2, low=8.0, floor=6.5) == (7.0, keys[2:])
+    assert evaluate(bandwidths, cut=2, low=3.0) == (REJECTED, [])
+    assert evaluate(bandwidths, cut=2, low=8.0, floor=8.0) == (REJECTED, [])
+    assert evaluate(bandwidths, cut=2, low=8.0, floor=9.0) == (REJECTED, [])
+    assert evaluate(bandwidths, cut=2, low=30.0, floor=9.0) == (REJECTED, keys[2:4])
+
+
+def test_bee_moves_read_none_of_their_kept_links():
+    # On a pinned n=256 trial, each bee move reads only links it regrew: the
+    # hops of the prefix it kept from its food source are never read again,
+    # neither to score the candidate nor to rebuild an accepted source.  A
+    # move's reads run from its last walk, the one that regrew the
+    # candidate, to the next walk of the search.
+    config, seed = RunConfig(), trial_seed(7, 256, 21)
+    prepared = prepare_trial(256, seed, config)
+    kb, log = _logging_reads(prepared.kb)
+    index = kb.link_available_mbps.index
+    walks, moves = [], []
+    walk = optimizers._walk
+
+    def recording_walk(rows, prefix, *rest):
+        walks.append((len(log.reads), prefix))
+        return walk(rows, prefix, *rest)
+
+    def observer(kind, path):
+        if kind in ("employed", "onlooker"):
+            moves.append(len(walks) - 1)
+
+    with mock.patch.object(optimizers, "_walk", recording_walk):
+        search(dataclasses.replace(prepared, kb=kb), "abc", config, seed, observer=observer)
+    ends = [start for start, _ in walks[1:]] + [len(log.reads)]
+    moved = kept_reads = 0
+    for last in moves:
+        (start, prefix), end = walks[last], ends[last]
+        kept = {index[(min(u, v), max(u, v))] for u, v in itertools.pairwise(prefix)}
+        kept_reads += len(kept.intersection(log.reads[start:end]))
+        moved += end > start
+    assert len(moves) == 2 * config.max_cycles * config.colony_size
+    assert moved > 1000 and kept_reads == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_subgraph_walks(), st.data())
+def test_prefix_state_matches_a_rebuild(case, data):
+    # A food source's state of each prefix path[:i + 1]: the bit set of its
+    # ranks and the least bandwidth on its hops, inf for the first node
+    # alone.  Continued from the state of any kept prefix, the state is the
+    # same, extended in place, and only the hops after that prefix are read.
+    topo, kb, sub, path, threshold = case
+    rebuilt = [(_visited(sub, path[:i + 1]),
+                min((kb.available_on(u, v) for u, v in itertools.pairwise(path[:i + 1])),
+                    default=math.inf))
+               for i in range(len(path))]
+    kb, log = _logging_reads(kb)
+    search = _Search(sub, path[0], path[-1], kb, random.Random(0), threshold, None)
+    assert search.prefix_state(path) == rebuilt
+    cut = data.draw(st.integers(0, len(path) - 1))
+    kept, before = rebuilt[:cut + 1], len(log.reads)
+    assert search.prefix_state(path, kept) is kept and kept == rebuilt
+    index = kb.link_available_mbps.index
+    assert log.reads[before:] == [index[(min(u, v), max(u, v))]
+                                  for u, v in itertools.pairwise(path[cut:])]
 
 
 @settings(max_examples=200, deadline=None)
@@ -333,7 +423,7 @@ def test_walks_draw_as_randrange(case, seed, data):
     assert rng.getstate() == oracle.getstate()
     path = expected = start
     for _ in range(5):
-        path = _perturb(path, sub._rows, rng)
+        path = _regrow(path, sub, rng)
         expected = neighbor_path_by_randrange(expected, sub, oracle)
         assert path == expected
         assert rng.getstate() == oracle.getstate()
@@ -392,7 +482,7 @@ def test_walks_draw_as_randrange_on_complete_subgraphs(m):
     sub = _complete_subgraph(m)
     for seed in range(3):
         rng, oracle = random.Random(seed), random.Random(seed)
-        assert (_perturb((0, m), sub._rows, rng)
+        assert (_regrow((0, m), sub, rng)
                 == neighbor_path_by_randrange((0, m), sub, oracle))
         assert rng.getstate() == oracle.getstate()
         path = random_path(sub, 0, m - 1, rng)
@@ -400,7 +490,7 @@ def test_walks_draw_as_randrange_on_complete_subgraphs(m):
         assert rng.getstate() == oracle.getstate()
         expected = path
         for _ in range(20):
-            path = _perturb(path, sub._rows, rng)
+            path = _regrow(path, sub, rng)
             expected = neighbor_path_by_randrange(expected, sub, oracle)
             assert path == expected
             assert rng.getstate() == oracle.getstate()
@@ -418,10 +508,11 @@ def test_walk_picks_past_many_visited_neighbors(m):
         order = tuple(random.Random(seed).sample(range(m), m))
         prefix, destination = order[:m - 2 - seed % 16], order[-1]
         rng, oracle = random.Random(seed), random.Random(seed)
-        assert (optimizers._walk(sub._rows, prefix, destination, rng.getrandbits)
+        assert (optimizers._walk(sub._rows, prefix, _visited(sub, prefix), destination,
+                                 rng.getrandbits)
                 == extend_by_randrange(sub, prefix, destination, oracle))
         assert rng.getstate() == oracle.getstate()
-        assert (_perturb(order, sub._rows, rng)
+        assert (_regrow(order, sub, rng)
                 == neighbor_path_by_randrange(order, sub, oracle))
         assert rng.getstate() == oracle.getstate()
 
@@ -432,7 +523,8 @@ def test_walk_picks_past_many_visited_neighbors(m):
 def test_every_walk_starts_short_of_its_destination(case, threshold, seed, data):
     # Scouts, GA's mutations (at rate 1.0, so every child mutates) and
     # repairs, and the bees' moves and scouts (abc_limit=1) all hand the walk
-    # a non-empty prefix that does not hold the destination.
+    # a non-empty prefix that does not hold the destination, with the
+    # prefix's own bit set.
     topo, kb, sub, _ = case
     members = sorted(sub.allowed)
     if len(members) < 2:
@@ -441,9 +533,9 @@ def test_every_walk_starts_short_of_its_destination(case, threshold, seed, data)
                                              max_size=2, unique=True))
     walk, calls = optimizers._walk, []
 
-    def recording_walk(rows, prefix, destination, getrandbits):
-        calls.append((prefix, destination))
-        return walk(rows, prefix, destination, getrandbits)
+    def recording_walk(rows, prefix, visited, destination, getrandbits):
+        calls.append((prefix, visited, destination))
+        return walk(rows, prefix, visited, destination, getrandbits)
 
     with mock.patch.object(optimizers, "_walk", recording_walk):
         ga_search(sub, source, destination,
@@ -452,7 +544,8 @@ def test_every_walk_starts_short_of_its_destination(case, threshold, seed, data)
         abc_search(sub, source, destination, AbcConfig(colony_size=3, max_cycles=2, abc_limit=1),
                    kb, random.Random(seed), bw_threshold=threshold)
     assert calls
-    assert all(prefix and end not in prefix for prefix, end in calls)
+    assert all(prefix and end not in prefix for prefix, _, end in calls)
+    assert all(visited == _visited(sub, prefix) for prefix, visited, _ in calls)
 
 
 @settings(max_examples=80, deadline=None)
@@ -477,7 +570,7 @@ def test_search_walks_draw_as_randrange(case, mutation_rate, threshold, seed, da
                            observer=lambda kind, path: events.append((kind, path)))
         return result, events, rng.getstate()
 
-    def oracle_walk(rows, prefix, destination, getrandbits):
+    def oracle_walk(rows, prefix, visited, destination, getrandbits):
         return extend_by_randrange(sub, prefix, destination, getrandbits.__self__)
 
     walked = run()
@@ -1002,21 +1095,44 @@ def test_searches_draw_as_with_rescoring(case, cfg, threshold, seed, data):
 def test_rescoring_cases_reach_every_branch():
     # Fixed cases where the onlookers accept candidates, scouts replace
     # sources (abc_limit=1), every child mutates and the threshold rejects
-    # children that repairs replace; each must still match the oracle.
+    # children that repairs replace; and where bee moves keep a prefix
+    # already below the threshold or at or below their source's nectar, so
+    # that the candidate is rejected unread, and accepted moves continue
+    # their kept prefix's state.  Each must still match the oracle.
     tally = Counter()
-    for seed in range(6):
-        topo, kb, sub = _random_setup(seed, n=20, density=0.3)
-        for cfg in (AbcConfig(colony_size=6, max_cycles=4, abc_limit=1),
-                    GaConfig(population_size=6, generations=4, mutation_rate=1.0)):
-            searched, expected = _search_and_oracle(sub, 0, 19, kb, cfg, seed, 4.5, tally)
-            assert searched == expected
-    assert min(tally[key] for key in ("onlooker accepted", "scout", "mutation", "repair")) > 0
+    evaluate, prefix_state = _Search.evaluate, _Search.prefix_state
+
+    def tallied_evaluate(self, path, *parents, **prefix):
+        if prefix:
+            if prefix["low"] < self.bw_threshold:
+                tally["kept prefix below threshold"] += 1
+            elif prefix["low"] <= prefix["floor"]:
+                tally["kept prefix at or below nectar"] += 1
+        return evaluate(self, path, *parents, **prefix)
+
+    def tallied_prefix_state(self, path, kept=None):
+        if kept is not None:
+            tally["accepted move continues its state"] += 1
+        return prefix_state(self, path, kept)
+
+    with (mock.patch.object(_Search, "evaluate", tallied_evaluate),
+          mock.patch.object(_Search, "prefix_state", tallied_prefix_state)):
+        for seed in range(6):
+            topo, kb, sub = _random_setup(seed, n=20, density=0.3)
+            for cfg in (AbcConfig(colony_size=6, max_cycles=4, abc_limit=1),
+                        GaConfig(population_size=6, generations=4, mutation_rate=1.0)):
+                searched, expected = _search_and_oracle(sub, 0, 19, kb, cfg, seed, 4.5, tally)
+                assert searched == expected
+    assert min(tally[key] for key in (
+        "onlooker accepted", "scout", "mutation", "repair", "kept prefix below threshold",
+        "kept prefix at or below nectar", "accepted move continues its state")) > 0
 
 
 def test_parents_values_are_reused():
     # On a pinned n=256 trial, GA's children are mostly copies of a parent
-    # and take its rank unscored, and some bee moves return their source.
-    # A candidate is scored when its evaluation reads the link snapshot's values.
+    # and take its rank unscored, and many bee moves keep a prefix that
+    # ranks their candidate unread.  A candidate is scored when its
+    # evaluation reads the link snapshot's values.
     config, seed = RunConfig(), trial_seed(7, 256, 21)
     prepared = prepare_trial(256, seed, config)
     evaluate = optimizers._Search.evaluate
@@ -1025,9 +1141,9 @@ def test_parents_values_are_reused():
         trial = dataclasses.replace(prepared, kb=kb)
         scored, reported = [], []
 
-        def counted(self, path, *parents):
+        def counted(self, path, *parents, **prefix):
             before = len(log.reads)
-            value = evaluate(self, path, *parents)
+            value = evaluate(self, path, *parents, **prefix)
             if len(log.reads) > before:
                 scored.append(path)
             return value

@@ -70,10 +70,16 @@ def test_derivative_matches_finite_difference():
 
 
 def test_state_validation():
-    # NaN is refused by the field's name, not left for grading to trip over
-    nan = math.nan
+    # NaN and infinity are refused by the field's name, not left for the
+    # load's closed form to turn into NaN or for grading to trip over
+    nan, inf = math.nan, math.inf
     for t0, gamma, mu, field in ((1.0, 1.0, 0.0, "service rate"),
                                  (1.0, 1.0, nan, "service rate"),
+                                 (1.0, 1.0, inf, "service rate"),
+                                 (inf, 1.0, 1.0, "initial load"),
+                                 (np.array([1.0, inf]), 1.0, 1.0, "initial load"),
+                                 (0.0, inf, 1.0, "arrival rate"),
+                                 (1.0, np.array([inf, 2.0]), 1.0, "arrival rate"),
                                  (-1.0, 1.0, 1.0, "initial load"),
                                  (nan, 1.0, 1.0, "initial load"),
                                  (np.array([1.0, nan]), 1.0, 1.0, "initial load"),
