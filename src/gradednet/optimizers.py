@@ -444,9 +444,8 @@ class _Search:
             if path == parent:
                 return rank
         index, available = self._index, self._available
-        # the least bandwidth a hop may have without rejecting the path:
-        # above the floor, where there is one; a floor is never below the
-        # threshold
+        # a hop below ``limit`` ends the reading: one below the threshold,
+        # or at or below a floor, which is never below the threshold
         limit = self.bw_threshold if floor == REJECTED else math.nextafter(floor, math.inf)
         if low < limit:
             return REJECTED
